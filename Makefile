@@ -85,14 +85,17 @@ saturate:
 # gradient, serve round-trip, mid-interleave cancellation) is pinned
 # against the grouped float64 direct oracle and the sequential baseline,
 # plus the depthwise planned-path and workspace-shrinkage acceptance
-# checks. The in-test width-{1,4} pools cover pool shape; the GOMAXPROCS
-# legs cover the unforced default pool the serve tests run on.
+# checks. The channel-pass pin suite (TestChannelPass*) runs in the same
+# matrix, so the I_C/G == 1 pass is pinned bit-identical to the per-group
+# pipeline under both dispatch modes. The in-test width-{1,4} pools cover
+# pool shape; the GOMAXPROCS legs cover the unforced default pool the
+# serve tests run on.
 grouped-smoke:
 	@for disp in seq interleaved; do \
 		for procs in 1 4; do \
 			echo "grouped-smoke: WINRS_GROUP_DISPATCH=$$disp GOMAXPROCS=$$procs"; \
 			WINRS_GROUP_DISPATCH=$$disp GOMAXPROCS=$$procs \
-				$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestFaultGroupedCancel' \
+				$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestChannelPass|TestFaultGroupedCancel' \
 				./internal/conv ./internal/core ./internal/serve || exit 1; \
 		done; \
 	done

@@ -107,7 +107,17 @@ func main() {
 	fmt.Printf("segment target     %d (Algorithm 1)\n", cfg.ZTarget)
 	fmt.Printf("segment shape      %dx%d (Algorithm 2)\n", cfg.SegH, cfg.SegW)
 	fmt.Printf("segments realized  %d\n", cfg.Z())
-	if p.G() > 1 {
+	switch {
+	case cfg.ChannelPass():
+		if p.G() > 1 {
+			fmt.Printf("groups             %d (%d ic x %d oc per group; depthwise=%v)\n",
+				p.G(), p.ICG(), p.OCG(), p.G() == p.IC)
+		}
+		fmt.Printf("group dispatch     channel (one channel-vectorized pass over all %d output channels)\n", p.OC)
+		fmt.Printf("workspace          0 MB (no buckets: per-segment results Kahan-combine in place)\n")
+		fmt.Printf("  per-worker tile  %.1f KB (accumulators, panels and Kahan state of one channel block)\n",
+			float64(cfg.ChannelTileBytes())/(1<<10))
+	case p.G() > 1:
 		fmt.Printf("groups             %d (%d ic x %d oc per group; depthwise=%v)\n",
 			p.G(), p.ICG(), p.OCG(), p.G() == p.IC)
 		gd := cfg.Describe()
@@ -129,7 +139,7 @@ func main() {
 					float64(ub)/(1<<20), float64(ub)/float64(maxI64(1, cfg.WorkspaceBytes())))
 			}
 		}
-	} else {
+	default:
 		fmt.Printf("workspace          %.2f MB ((Z-1) x dW)\n",
 			float64(cfg.WorkspaceBytes())/(1<<20))
 	}

@@ -113,12 +113,17 @@ func (b *winrsBackend) Cost(p conv.Params, prec Precision) Cost {
 		// (measured ~0.58× its throughput on the bench grid).
 		eff *= 0.60
 	}
-	if p.G() > 1 && p.ICG() == 1 {
-		// Depthwise regime: the dw1 EWM panel drops the channel-reduction
-		// loop, but its single-column accumulators sustain a lower fraction
-		// of FMA peak than the register blocks (measured on the 56×56
-		// G = I_C winrs-bench rows).
-		eff *= 0.85
+	if cfg.ChannelPass() {
+		// I_C/G == 1 plans run the channel pass: one unit per block of
+		// output channels (blocks are multiples of 8 lanes, so at most
+		// ⌈O_C/8⌉ grains), no buckets to sweep, and a Hadamard EWM whose
+		// one multiply per loaded pair sustains a lower fraction of FMA
+		// peak than the register-blocked panels. The derate is the
+		// geometric mean of measured/predicted throughput over the four
+		// train-grouped depthwise layers at 2 procs (0.36–0.63).
+		grains = (p.OC + 7) / 8
+		bytes = operandBytes32(p)
+		eff *= 0.45
 	}
 	return Cost{FLOPs: flops, Bytes: bytes, Eff: eff, Grains: grains}
 }

@@ -421,15 +421,21 @@ func (c *Config) Z() int { return len(c.Segments) }
 // shared arena, which WorkspaceSeqBytes reports) — still ~G²/ring below
 // the ungrouped layer of the same outer geometry (1/G from the sliced
 // C-reduction, 1/G from the sliced O_C), the paper's tiny-workspace regime
-// at its most favorable.
+// at its most favorable. Plans with I_C/G == 1 run the channel pass, which
+// combines segments in place and reports 0 (its per-worker tile is
+// ChannelTileBytes).
 func (c *Config) WorkspaceBytes() int64 {
 	return c.WorkspaceSeqBytes() * int64(c.GroupRing())
 }
 
 // WorkspaceSeqBytes returns one per-group bucket arena, (Z−1) × the
 // per-group ∇W slab — the whole workspace of the sequential grouped
-// dispatch (and of ungrouped plans, where it equals WorkspaceBytes).
+// dispatch (and of ungrouped plans, where it equals WorkspaceBytes). 0 for
+// channel-pass plans, which have no buckets.
 func (c *Config) WorkspaceSeqBytes() int64 {
+	if c.ChannelPass() {
+		return 0
+	}
 	e := c.exec()
 	return int64(e.Z()-1) * int64(e.Params.DWShape().Elems()) * 4
 }
@@ -437,8 +443,12 @@ func (c *Config) WorkspaceSeqBytes() int64 {
 // GroupRing returns the staging-slot ring depth the plan's grouped
 // dispatch budgets: min(G, groupRingSlots) under the interleaved dispatch
 // (an upper bound — execution additionally clamps to the pool width), 1
-// for ungrouped plans or forced sequential dispatch.
+// for ungrouped plans or forced sequential dispatch, 0 for channel-pass
+// plans (no staging at all).
 func (c *Config) GroupRing() int {
+	if c.ChannelPass() {
+		return 0
+	}
 	if c.group == nil || !InterleavedGroups() {
 		return 1
 	}
@@ -463,14 +473,20 @@ func (c *Config) GroupRing() int {
 // (max_s α_s/r_s)·sizeof(∇Y) regardless of Z — it rides the "tiny
 // workspace" axis (≈3× |∇Y| for Ω₁₆(2,14), ≈2× for Ω₆(4,3)) and is not
 // counted against WithWorkspaceLimit, which budgets the Z-dependent
-// buckets.
+// buckets. Interleaved grouped plans hold one cache per ring slot, so the
+// figure is GroupRing() × the per-group cache; channel-pass plans consume
+// each Ŵ panel as they compute it and report 0.
 func (c *Config) WHatCacheBytes() int64 {
+	if c.ChannelPass() {
+		return 0
+	}
 	e := c.exec()
 	var elems int64
 	for _, seg := range e.Segments {
 		elems += int64(seg.Rows()) * int64(seg.Cols()/seg.K.R) *
 			int64(e.Params.N) * int64(seg.K.Alpha) * int64(e.Params.OC)
 	}
+	elems *= int64(c.GroupRing())
 	if c.FP16 && !fp16Resident {
 		return elems * 2
 	}

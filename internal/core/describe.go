@@ -30,15 +30,19 @@ type Description struct {
 	WorkspaceBytes  int64   `json:"workspaceBytes"`
 	WorkspaceRatio  float64 `json:"workspaceRatio"`
 	// Grouped-dispatch attribution (grouped plans only): the dispatch mode
-	// under the current process knobs, the budgeted staging-slot ring depth,
-	// and the single per-group arena of the sequential dispatch —
-	// WorkspaceBytes is WorkspaceSeqBytes × GroupRing.
+	// under the current process knobs ("channel" for I_C/G == 1 plans), the
+	// budgeted staging-slot ring depth, and the single per-group arena of
+	// the sequential dispatch — WorkspaceBytes is WorkspaceSeqBytes ×
+	// GroupRing.
 	GroupDispatch     string `json:"groupDispatch,omitempty"`
 	GroupRing         int    `json:"groupRing,omitempty"`
 	WorkspaceSeqBytes int64  `json:"workspaceSeqBytes,omitempty"`
-	WHatCacheBytes  int64   `json:"wHatCacheBytes"`
-	WHatCacheRatio  float64 `json:"wHatCacheRatio"`
-	TotalBlocks     int     `json:"totalBlocks"`
+	// ChannelTileBytes is the channel pass's per-worker scratch (I_C/G == 1
+	// plans only; their workspace and Ŵ cache are 0).
+	ChannelTileBytes int64   `json:"channelTileBytes,omitempty"`
+	WHatCacheBytes   int64   `json:"wHatCacheBytes"`
+	WHatCacheRatio   float64 `json:"wHatCacheRatio"`
+	TotalBlocks      int     `json:"totalBlocks"`
 	// EWMKernel is the kernel-tier variant the fast kernel's units resolve
 	// to under the current process knobs (e.g. "fused8x4", "block8x8+v3").
 	EWMKernel string `json:"ewmKernel"`
@@ -55,9 +59,12 @@ func (c *Config) Describe() Description {
 	d.Layer.OH, d.Layer.OW = p.OH(), p.OW()
 	if p.G() > 1 {
 		d.Layer.Groups = p.G()
-		if InterleavedGroups() {
+		switch {
+		case c.ChannelPass():
+			d.GroupDispatch = "channel"
+		case InterleavedGroups():
 			d.GroupDispatch = "interleaved"
-		} else {
+		default:
 			d.GroupDispatch = "sequential"
 		}
 		d.GroupRing = c.GroupRing()
@@ -76,6 +83,7 @@ func (c *Config) Describe() Description {
 	d.Segments = c.Z()
 	d.WorkspaceBytes = c.WorkspaceBytes()
 	d.WHatCacheBytes = c.WHatCacheBytes()
+	d.ChannelTileBytes = c.ChannelTileBytes()
 	if data := p.DataBytes32(); data > 0 {
 		d.WorkspaceRatio = float64(c.WorkspaceBytes()) / float64(data)
 		d.WHatCacheRatio = float64(c.WHatCacheBytes()) / float64(data)

@@ -25,7 +25,7 @@ func TestParseEWMModeWarnsOnUnknown(t *testing.T) {
 	warns := captureEnvWarn(t)
 	for val, want := range map[string]ewmMode{
 		"": ewmAuto, "auto": ewmAuto, "block4": ewmBlock4,
-		"block8": ewmBlock8, "fused": ewmFused, "dw1": ewmDW1,
+		"block8": ewmBlock8, "fused": ewmFused,
 	} {
 		if got := parseEWMMode(val); got != want {
 			t.Errorf("parseEWMMode(%q) = %v, want %v", val, got, want)

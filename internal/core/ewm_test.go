@@ -34,16 +34,28 @@ func forceResident(t testing.TB, on bool) {
 }
 
 // ewmVariantModes is the force matrix of the differential sweeps: every
-// kernel-tier mode, each pinned against the base/oracle tier.
-var ewmVariantModes = []struct {
-	name string
-	mode ewmMode
-}{
-	{"auto", ewmAuto},
-	{"block4", ewmBlock4},
-	{"block8", ewmBlock8},
-	{"fused", ewmFused},
-	{"dw1", ewmDW1},
+// WINRS_EWM_KERNEL value, each pinned against the base/oracle tier. The
+// "dw1" leg is the retired depthwise tier's value: it must warn, resolve
+// to auto and change no bits (see forceEWMEnv).
+var ewmVariantModes = []string{"auto", "block4", "block8", "fused", "dw1"}
+
+// ewmRetired lists WINRS_EWM_KERNEL values of retired tiers.
+var ewmRetired = map[string]bool{"dw1": true}
+
+// forceEWMEnv forces the mode a WINRS_EWM_KERNEL value parses to, checking
+// that retired values take the warn-and-list path to auto.
+func forceEWMEnv(t *testing.T, env string) {
+	t.Helper()
+	warns := captureEnvWarn(t)
+	mode := parseEWMMode(env)
+	if ewmRetired[env] {
+		if mode != ewmAuto || len(*warns) != 1 {
+			t.Fatalf("retired WINRS_EWM_KERNEL=%q: mode %v, warnings %v; want auto with one warning", env, mode, *warns)
+		}
+	} else if len(*warns) != 0 {
+		t.Fatalf("WINRS_EWM_KERNEL=%q warned: %v", env, *warns)
+	}
+	forceEWM(t, mode)
 }
 
 // randPanels builds Ŵ/X̂ panels with planted zero rows (the zero-skip
@@ -176,8 +188,8 @@ func TestEWMForcedVariantsMatchBaseFP32(t *testing.T) {
 		}()
 
 		for _, vm := range ewmVariantModes {
-			t.Run(tc.name+"/"+vm.name, func(t *testing.T) {
-				forceEWM(t, vm.mode)
+			t.Run(tc.name+"/"+vm, func(t *testing.T) {
+				forceEWMEnv(t, vm)
 				got := Execute(cfg, x, dy)
 				equalBits(t, "inline", got.Data, want.Data)
 				withTestPool(t, 4, func() {
@@ -212,8 +224,8 @@ func TestEWMForcedVariantsMatchScalarRefFP16(t *testing.T) {
 				name string
 				on   bool
 			}{{"resident", true}, {"codec", false}} {
-				t.Run(tc.name+"/"+vm.name+"/"+res.name, func(t *testing.T) {
-					forceEWM(t, vm.mode)
+				t.Run(tc.name+"/"+vm+"/"+res.name, func(t *testing.T) {
+					forceEWMEnv(t, vm)
 					forceResident(t, res.on)
 					got := ExecuteHalf(cfg, xh, dyh)
 					equalBits(t, "inline", got.Data, want.Data)

@@ -19,7 +19,9 @@ import (
 
 // ewmMode is the kernel-tier forcing knob: auto (per-kernel selection),
 // or one of the force values the differential sweeps pin each variant
-// with. Settable via WINRS_EWM_KERNEL=auto|block4|block8|fused|dw1.
+// with. Settable via WINRS_EWM_KERNEL=auto|block4|block8|fused. Plans with
+// I_C/G == 1 run the channel pass (depthwise.go), which the knob does not
+// reach.
 type ewmMode uint8
 
 const (
@@ -27,7 +29,6 @@ const (
 	ewmBlock4         // force the base 4×4 tier (the oracle's kernel)
 	ewmBlock8         // force 8-row blocking, fusion disabled
 	ewmFused          // force the fused transform+EWM mode (any α)
-	ewmDW1            // force the depthwise I_C == 1 panel (no-op when I_C > 1)
 )
 
 // ewmForce is the process-wide forcing mode; tests swap it via forceEWM.
@@ -60,10 +61,8 @@ func parseEWMMode(s string) ewmMode {
 		return ewmBlock8
 	case "fused":
 		return ewmFused
-	case "dw1":
-		return ewmDW1
 	default:
-		envWarnf("winrs: unrecognized WINRS_EWM_KERNEL=%q; valid values are auto, block4, block8, fused, dw1 — using auto", s)
+		envWarnf("winrs: unrecognized WINRS_EWM_KERNEL=%q; valid values are auto, block4, block8, fused — using auto", s)
 		return ewmAuto
 	}
 }
@@ -107,9 +106,9 @@ type ewmSel struct {
 // so selectEWM never builds a string at runtime — it runs on the per-unit
 // zero-allocation hot path. The expressions are compile-time constants
 // (ewmArchSuffix is a build-tagged const).
-var ewmNames = [2][4]string{
-	{"block4x4", "block8x4", "block8x8" + ewmArchSuffix, "dw1"},
-	{"fused4x4", "fused8x4", "fused8x8" + ewmArchSuffix, "fuseddw1"},
+var ewmNames = [2][3]string{
+	{"block4x4", "block8x4", "block8x8" + ewmArchSuffix},
+	{"fused4x4", "fused8x4", "fused8x8" + ewmArchSuffix},
 }
 
 func selectEWM(k winograd.Kernel, fp16 bool, oc, ic int) ewmSel {
@@ -118,13 +117,6 @@ func selectEWM(k winograd.Kernel, fp16 bool, oc, ic int) ewmSel {
 	shape := 0
 	bn, bm := k.CacheBlock(fp16)
 	switch {
-	case ic == 1 && mode != ewmBlock4 && mode != ewmBlock8:
-		// Depthwise regime (I_C/G == 1): the accumulator panel is a single
-		// column, so the register blocks above degenerate into their scalar
-		// tails. The dedicated panel drops the channel-reduction loop; auto
-		// selects it, WINRS_EWM_KERNEL=dw1 pins it for differential sweeps,
-		// and the explicit block forcings still win for oracle comparisons.
-		sel.panel, shape = ewmPanelDW1, 3
 	case mode == ewmBlock4 || oc < 8 || bn < 64:
 		sel.panel = ewmPanel
 	case ic >= 8 && bm >= 64:
@@ -133,9 +125,7 @@ func selectEWM(k winograd.Kernel, fp16 bool, oc, ic int) ewmSel {
 		sel.panel, shape = ewmPanel8x4, 1
 	}
 	switch mode {
-	case ewmAuto, ewmDW1:
-		// Forcing dw1 on a non-depthwise shape keeps auto's fusion choice;
-		// the force only means "use the depthwise panel where it is legal".
+	case ewmAuto:
 		sel.fused = k.Alpha <= 8
 	case ewmFused:
 		sel.fused = true
@@ -150,8 +140,12 @@ func selectEWM(k winograd.Kernel, fp16 bool, oc, ic int) ewmSel {
 
 // EWMKernel reports the kernel-tier selection the plan's fast kernel
 // resolves to under the current process knobs — the per-plan attribution
-// recorded by winrs-info and the bench JSON's ewm_kernel field.
+// recorded by winrs-info and the bench JSON's ewm_kernel field. Plans that
+// take the channel pass report "channel" in both precisions.
 func (c *Config) EWMKernel() string {
+	if c.ChannelPass() {
+		return "channel"
+	}
 	if c.FP16 && !fp16Resident {
 		// The legacy codec-per-unit FP16 path stays on the unfused base
 		// kernel — it is the knob-off compatibility tier.
@@ -439,29 +433,6 @@ func ewmPanel8x8(ve, we, xe []float32, oc, ic int) {
 	}
 }
 
-// ewmPanelDW1 is the depthwise specialization: with I_C == 1 the [O_C][I_C]
-// accumulator panel collapses to one column, ve[a] += we[a]·xe[0], so the
-// channel-reduction loop of the blocked kernels disappears — one FMA per
-// output channel against the lone X̂ value held in a register. Each element
-// still receives exactly one fused add per e, and the per-row zero skip
-// matches the base kernel's scalar tail, so the accumulation is
-// bit-identical to every other tier. Falls back to the base kernel when
-// forced onto a shape with I_C > 1 (the force is advisory, never wrong).
-func ewmPanelDW1(ve, we, xe []float32, oc, ic int) {
-	if ic != 1 {
-		ewmPanel(ve, we, xe, oc, ic)
-		return
-	}
-	xv := xe[0]
-	ve = ve[:oc]
-	for a, wv := range we[:oc] {
-		if wv == 0 {
-			continue
-		}
-		ve[a] += wv * xv
-	}
-}
-
 // matTMulRowF32 computes output row i of matTMulF32 alone: dst is zeroed,
 // then accumulated in the same ascending-k order with the same zero skip,
 // so the row's value is bit-identical to the full-panel evaluation (rows
@@ -470,18 +441,6 @@ func ewmPanelDW1(ve, we, xe []float32, oc, ic int) {
 func matTMulRowF32(m *winograd.Mat, in, dst []float32, i, rows, width int) {
 	if rows != m.Rows {
 		panic("core: matTMulRowF32 dimension mismatch")
-	}
-	if width == 1 {
-		// Depthwise column shape: one scalar accumulator, same ascending-k
-		// order and zero skip, none of the per-k slice bookkeeping.
-		var s float32
-		for k := 0; k < rows; k++ {
-			if c := float32(m.At(k, i)); c != 0 {
-				s += c * in[k]
-			}
-		}
-		dst[0] = s
-		return
 	}
 	for x := range dst {
 		dst[x] = 0

@@ -570,19 +570,6 @@ func segmentTileHalfRes(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
 	entry := alpha * oc
 	tiles := seg.Cols() / r
 
-	// Depthwise fused tier: hoist Dᵀ into a transposed float32 copy once
-	// per unit, so the per-tile row transforms below walk it contiguously
-	// instead of paying a strided float64 load + convert per coefficient.
-	var dT []float32
-	if sel.fused && ic == 1 {
-		dT = growF32(&s.dT, alpha*alpha)
-		for e := 0; e < alpha; e++ {
-			for kk := 0; kk < alpha; kk++ {
-				dT[e*alpha+kk] = float32(dMat.At(kk, e))
-			}
-		}
-	}
-
 	var smp unitSampler
 	for oh := seg.Row0; oh < seg.Row1; oh++ {
 		ih := oh + fh - p.PH
@@ -614,33 +601,7 @@ func segmentTileHalfRes(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
 						copy(dst, xDec[base:base+ic])
 					}
 				}
-				if sel.fused && ic == 1 {
-					// Depthwise fused unit: the X̂ row is ONE float, so the
-					// row transform collapses to a dot product against a
-					// per-unit transposed float32 copy of Dᵀ (same constant
-					// conversion, ascending-k order and zero skip as
-					// matTMulRowF32), the storage rounding to the scalar
-					// fp16.Round, and the EWM to ewmPanelDW1's zero-skipping
-					// column sweep — every step bit-identical to the generic
-					// calls it replaces, without their per-element call and
-					// slice overhead.
-					smp.mark()
-					for e := 0; e < alpha; e++ {
-						var s float32
-						for kk, c := range dT[e*alpha : (e+1)*alpha] {
-							if c != 0 {
-								s += c * xSrc[kk]
-							}
-						}
-						s = fp16.Round(s)
-						ve := v[e*oc : (e+1)*oc]
-						for a, wv := range wHat[e*oc : (e+1)*oc] {
-							if wv != 0 {
-								ve[a] += wv * s
-							}
-						}
-					}
-				} else if sel.fused {
+				if sel.fused {
 					smp.mark()
 					for e := 0; e < alpha; e++ {
 						row := xHat[e*ic : (e+1)*ic]
@@ -690,20 +651,6 @@ func writeOutput(p conv.Params, aMat *winograd.Mat, v []float32, bucket []float3
 func matMulF32(m *winograd.Mat, in, out []float32, rows, width int) {
 	if rows != m.Cols {
 		panic("core: matMulF32 dimension mismatch")
-	}
-	if width == 1 {
-		// Depthwise column shape (the grouped Ŵ fill's O_C/G == 1 panel):
-		// scalar accumulators, same ascending-k order and zero skip.
-		for i := 0; i < m.Rows; i++ {
-			var s float32
-			for k := 0; k < rows; k++ {
-				if c := float32(m.At(i, k)); c != 0 {
-					s += c * in[k]
-				}
-			}
-			out[i] = s
-		}
-		return
 	}
 	for i := 0; i < m.Rows; i++ {
 		dst := out[i*width : (i+1)*width]

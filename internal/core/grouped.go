@@ -14,15 +14,19 @@ import (
 // gradient (∇W is O_C-major and each group owns a contiguous O_C/G range),
 // so outputs are written through zero-copy views.
 //
-// Two dispatch modes exist (WINRS_GROUP_DISPATCH, groupedinterleave.go):
-// the default interleaved dispatch fuses all G groups into ONE sched batch
-// over a (group, unit) index space with a small ring of in-flight staging
-// slots, recovering pool occupancy when per-group work is tiny (depthwise);
-// the sequential mode below runs the G passes one after another through a
-// single group-sized workspace — the PR 9 baseline the interleaved path is
-// pinned bit-identical to. Either way the tiny-workspace property the
-// paper's reduce-split buys shrinks by ~G²/ring vs the ungrouped plan, and
-// depthwise (G == I_C) is its limiting case.
+// Plans with I_C/G == 1 (depthwise and its channel-multiplier form) never
+// come here: they run the channel pass (depthwise.go), one
+// channel-vectorized sweep with no per-group pipeline at all.
+//
+// Two dispatch modes exist for the rest (WINRS_GROUP_DISPATCH,
+// groupedinterleave.go): the default interleaved dispatch fuses all G
+// groups into ONE sched batch over a (group, unit) index space with a
+// small ring of in-flight staging slots, recovering pool occupancy when
+// per-group work is small; the sequential mode below runs the G passes one
+// after another through a single group-sized workspace — the baseline the
+// interleaved path is pinned bit-identical to. Either way the
+// tiny-workspace property the paper's reduce-split buys shrinks by
+// ~G²/ring vs the ungrouped plan.
 
 // sliceChannels gathers channels [off, off+width) of every row of src
 // (rows × srcC, dense) into dst (rows × width, dense). A full-width slice

@@ -155,13 +155,14 @@ func TestGroupedStridedMatchesDirect(t *testing.T) {
 }
 
 // Depthwise (G == I_C) must run the planned WinRS path — a real fast
-// kernel, not the direct fallback — and its shared per-group workspace
-// must shrink versus the ungrouped plan of the same outer geometry at
-// equal Z. This is the paper's headline quantity under grouping.
+// kernel, not the direct fallback — through the channel pass, which needs
+// no bucket workspace at all. Grouped plans that keep the per-group
+// pipeline (G = 4 here) must shrink their workspace versus the ungrouped
+// plan of the same outer geometry at equal Z: exactly G² for the single
+// sequential arena, at most the ring factor more for the interleaved
+// dispatch. This is the paper's headline quantity under grouping.
 func TestDepthwisePlannedPathWorkspaceShrinks(t *testing.T) {
 	p := conv.Params{N: 2, IH: 24, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1, Groups: 16}
-	// Force Z > 1 on both plans: the workspace is (Z-1)·sizeof(∇W) slabs,
-	// so at Z = 1 both report zero and the comparison is vacuous.
 	cfg, err := Configure(p, WithSegments(4))
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +173,20 @@ func TestDepthwisePlannedPathWorkspaceShrinks(t *testing.T) {
 	}
 	if g.Pair.Fast.N <= 1 {
 		t.Errorf("depthwise runs fallback kernel %v, want a planned fast kernel (n > 1)", g.Pair.Fast)
+	}
+	if w, s := cfg.WorkspaceBytes(), cfg.WorkspaceSeqBytes(); w != 0 || s != 0 {
+		t.Errorf("depthwise workspace %d B (sequential arena %d B), want 0 under the channel pass", w, s)
+	}
+	if d := cfg.Describe(); d.Layer.Groups != p.G() || d.GroupDispatch != "channel" {
+		t.Errorf("Describe reports groups %d dispatch %q, want %d channel", d.Layer.Groups, d.GroupDispatch, p.G())
+	}
+
+	// Force Z > 1 on both plans: the workspace is (Z-1)·sizeof(∇W) slabs,
+	// so at Z = 1 both report zero and the comparison is vacuous.
+	p.Groups = 4
+	cfg, err = Configure(p, WithSegments(4))
+	if err != nil {
+		t.Fatal(err)
 	}
 	pu := p
 	pu.Groups = 0
@@ -189,7 +204,7 @@ func TestDepthwisePlannedPathWorkspaceShrinks(t *testing.T) {
 	// Per-group ∇W slab is (O_C/G)·F_H·F_W·(I_C/G): the single sequential
 	// arena shrinks exactly G² at equal Z (both sides round Z the same way
 	// under WithSegments), and the executed workspace grows by at most the
-	// interleaved dispatch's ring factor — the ISSUE 10 ≤ 2× budget.
+	// interleaved dispatch's ring factor (≤ 2×).
 	sw := cfg.WorkspaceSeqBytes()
 	if cfg.Z() == ucfg.Z() && uw != sw*int64(p.G())*int64(p.G()) {
 		t.Errorf("workspace shrink %d/%d, want exactly G²=%d at equal Z", uw, sw, p.G()*p.G())
@@ -199,9 +214,6 @@ func TestDepthwisePlannedPathWorkspaceShrinks(t *testing.T) {
 	}
 	if ring := cfg.GroupRing(); gw != sw*int64(ring) {
 		t.Errorf("WorkspaceBytes %d != WorkspaceSeqBytes %d × ring %d", gw, sw, ring)
-	}
-	if d := cfg.Describe(); d.Layer.Groups != p.G() {
-		t.Errorf("Describe reports groups %d, want %d", d.Layer.Groups, p.G())
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 
 // Interleaved group dispatch: instead of G sequential per-group WinRS
 // passes (each paying its own gather, two pool barriers and a serial
-// reduce — ruinous when per-group work is tiny, i.e. depthwise), ALL
+// reduce — costly when per-group work is small; the tiniest case,
+// I_C/G == 1, takes the channel pass instead), ALL
 // groups' work units are fused into one sched batch over an interleaved
 // (group, unit) index space. One chunk-self-scheduling run, one
 // cancellation poll domain.

@@ -87,10 +87,9 @@ func TestGroupedInterleavedMatchesSequential(t *testing.T) {
 	}
 }
 
-// Every EWM kernel-tier forcing must produce bit-identical gradients on
-// depthwise shapes (I_C/G == 1), where auto resolves to the dedicated dw1
-// panel — the forced-kernel differential sweep of the depthwise
-// specialization, inline and pooled.
+// Kernel-tier forcing does not reach I_C/G == 1 plans: they run the channel
+// pass, so every WINRS_EWM_KERNEL value must keep reporting "channel" and
+// produce bit-identical gradients, inline and pooled.
 func TestDepthwiseEWMKernelSweep(t *testing.T) {
 	shapes := []conv.Params{
 		{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8},
@@ -106,21 +105,21 @@ func TestDepthwiseEWMKernelSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if k := cfg.EWMKernel(); !strings.Contains(k, "dw1") {
-					t.Errorf("depthwise auto selection is %q, want the dw1 panel", k)
-				}
 				var base *tensor.Float32
 				for _, m := range ewmVariantModes {
-					forceEWM(t, m.mode)
+					forceEWMEnv(t, m)
+					if k := cfg.EWMKernel(); k != "channel" {
+						t.Errorf("%v %s: depthwise kernel %q, want the channel pass", p, m, k)
+					}
 					got := Execute(cfg, x, dy)
 					if mare := tensor.MARE(got, want); mare > 1e-5 {
-						t.Errorf("%v width=%d %s: MARE %v > 1e-5", p, width, m.name, mare)
+						t.Errorf("%v width=%d %s: MARE %v > 1e-5", p, width, m, mare)
 					}
 					if base == nil {
 						base = got
 						continue
 					}
-					equalBits(t, m.name, got.Data, base.Data)
+					equalBits(t, m, got.Data, base.Data)
 				}
 				forceEWM(t, ewmAuto)
 			}
@@ -372,10 +371,10 @@ func TestDescribeGroupDispatch(t *testing.T) {
 	}
 }
 
-// BenchmarkGroupedDispatch pits the interleaved dispatch against the
-// sequential per-group passes on a production depthwise shape — the
-// occupancy case the interleaved dispatch exists for. Run with
-// -cpu 1,4 to see the pool-width dependence.
+// BenchmarkGroupedDispatch pits the channel pass against the per-group
+// pipeline it replaced — sequential and interleaved dispatch — on a
+// production depthwise shape. Run with -cpu 1,4 to see the pool-width
+// dependence.
 func BenchmarkGroupedDispatch(b *testing.B) {
 	p := conv.Params{N: 1, IH: 56, IW: 56, FH: 3, FW: 3, IC: 64, OC: 64, PH: 1, PW: 1, Groups: 64}
 	cfg, err := Configure(p)
@@ -392,10 +391,16 @@ func BenchmarkGroupedDispatch(b *testing.B) {
 	ws16 := NewWorkspace(cfg16)
 	xh, dyh := x.ToHalf(), dy.ToHalf()
 	for _, m := range []struct {
-		name string
-		mode groupDispatchMode
-	}{{"seq", groupDispatchSeq}, {"interleaved", groupDispatchInterleaved}} {
+		name    string
+		channel bool
+		mode    groupDispatchMode
+	}{
+		{"channel", true, groupDispatchAuto},
+		{"seq", false, groupDispatchSeq},
+		{"interleaved", false, groupDispatchInterleaved},
+	} {
 		b.Run(m.name, func(b *testing.B) {
+			forceChannelPass(b, m.channel)
 			forceGroupDispatch(b, m.mode)
 			ExecuteIn(cfg, ws, x, dy, dst)
 			b.ResetTimer()
@@ -404,6 +409,7 @@ func BenchmarkGroupedDispatch(b *testing.B) {
 			}
 		})
 		b.Run(m.name+"16", func(b *testing.B) {
+			forceChannelPass(b, m.channel)
 			forceGroupDispatch(b, m.mode)
 			ExecuteHalfIn(cfg16, ws16, xh, dyh, dst)
 			b.ResetTimer()

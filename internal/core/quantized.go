@@ -69,7 +69,9 @@ func QuantInt8(absmax float32) Quantizer {
 // ExecuteQuantized runs the configured plan with the given storage format.
 // x and dy are float32 tensors whose values are quantized on load (a
 // pre-quantized tensor passes through unchanged because Round is
-// idempotent). The result is FP32, like the FP16 path.
+// idempotent). The result is FP32, like the FP16 path. Grouped plans run
+// the per-group plan over channel-sliced operands, one group at a time,
+// like the sequential grouped dispatch.
 func ExecuteQuantized(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tensor.Float32 {
 	p := cfg.Params
 	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
@@ -78,11 +80,34 @@ func ExecuteQuantized(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tensor.F
 	if q.Round == nil {
 		panic("core: ExecuteQuantized requires a Round function")
 	}
-	ws := NewWorkspace(cfg)
+	dst := tensor.NewFloat32(p.DWShape())
+	gcfg := cfg.group
+	if gcfg == nil {
+		return executeQuantizedInto(cfg, x, dy, q, dst)
+	}
+	pg := gcfg.Params
+	icg, ocg := p.ICG(), p.OCG()
+	xRows := p.N * p.IH * p.IW
+	dyRows := p.N * p.OH() * p.OW()
+	xg := tensor.NewFloat32(pg.XShape())
+	dyg := tensor.NewFloat32(pg.DYShape())
+	for gi := 0; gi < p.G(); gi++ {
+		sliceChannels(xg.Data, x.Data, xRows, p.IC, gi*icg, icg)
+		sliceChannels(dyg.Data, dy.Data, dyRows, p.OC, gi*ocg, ocg)
+		executeQuantizedInto(gcfg, xg, dyg, q, groupSlab(dst, pg.DWShape(), gi))
+	}
+	return dst
+}
+
+// executeQuantizedInto runs an ungrouped plan's quantized units and
+// reduces them into dst.
+func executeQuantizedInto(cfg *Config, x, dy *tensor.Float32, q Quantizer, dst *tensor.Float32) *tensor.Float32 {
+	p := cfg.Params
+	ws := ensureWorkspace(cfg, nil)
 	runUnitsFunc(cfg, func(si int, seg Segment, fh, j int) {
 		segmentTileQuantized(p, seg, fh, j, x, dy, ws.buckets[si], q)
 	})
-	return reduceInto(cfg, ws.buckets, nil)
+	return reduceInto(cfg, ws.buckets, dst)
 }
 
 // BackwardFilterQuantized is the one-call quantized path.

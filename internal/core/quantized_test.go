@@ -201,3 +201,50 @@ func TestQuantizedBulkMatchesScalarFallback(t *testing.T) {
 		}
 	}
 }
+
+// Grouped plans run the quantized path per group over channel-sliced
+// operands. Before that, segmentTileQuantized indexed the per-group ∇W with
+// the full layer's channel counts and panicked on a pool worker (G=4,
+// I_C=O_C=8, 12×12, 3×3, INT8 absmax 1). For G ∈ {4, I_C} every format must
+// stay within its band of the grouped float64 oracle, and the identity
+// quantizer must reproduce the FP32 grouped path bit for bit.
+func TestQuantizedGrouped(t *testing.T) {
+	for _, g := range []int{4, 8} {
+		p := conv.Params{N: 2, IH: 12, IW: 12, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: g}
+		cfg, err := Configure(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, dy, want := quantOperands(t, p, 5)
+		ident := Quantizer{Name: "ident", Round: func(v float32) float32 { return v }}
+		equalBits(t, "grouped identity", ExecuteQuantized(cfg, x, dy, ident).Data, Execute(cfg, x, dy).Data)
+		for _, tc := range []struct {
+			q     Quantizer
+			bound float64
+		}{{QuantBF16, 5e-2}, {QuantFP8E4M3, 0.5}, {QuantFP8E5M2, 0.5}} {
+			if m := tensor.MARE(ExecuteQuantized(cfg, x, dy, tc.q), want); m > tc.bound {
+				t.Errorf("G=%d %s: MARE %v > %v", g, tc.q.Name, m, tc.bound)
+			}
+		}
+
+		// INT8 shares one grid between operands: unit-range ∇Y, as in
+		// TestQuantizedInt8.
+		rng := rand.New(rand.NewSource(6))
+		x64 := tensor.NewFloat64(p.XShape())
+		dy64 := tensor.NewFloat64(p.DYShape())
+		for i := range x64.Data {
+			x64.Data[i] = rng.Float64()
+		}
+		for i := range dy64.Data {
+			dy64.Data[i] = rng.Float64()
+		}
+		want8 := conv.BackwardFilterDirect64(p, x64, dy64)
+		x, dy = x64.ToFloat32(), dy64.ToFloat32()
+		if m := tensor.MARE(ExecuteQuantized(cfg, x, dy, QuantInt8(4)), want8); m > 0.2 {
+			t.Errorf("G=%d INT8: MARE %v > 0.2", g, m)
+		}
+		if got := ExecuteQuantized(cfg, x, dy, QuantInt8(1)); got.Shape != p.DWShape() {
+			t.Errorf("G=%d INT8 absmax 1: shape %v, want %v", g, got.Shape, p.DWShape())
+		}
+	}
+}

@@ -70,6 +70,7 @@ type Workspace struct {
 	job  execJob
 	fill fillJob
 	gjob groupJob
+	cjob chanJob
 }
 
 // groupSlot is one ring entry of the interleaved grouped dispatch: the
@@ -117,13 +118,15 @@ func (ws *Workspace) ensureRing(n int) {
 // NewWorkspace allocates the bucket arena for cfg and binds its schedule
 // tables. For a grouped plan the arena is sized for ONE group's ∇W slab —
 // the per-group passes share it — which is exactly the shrinkage
-// Config.WorkspaceBytes reports.
+// Config.WorkspaceBytes reports. Plans that never reduce through it — the
+// channel pass has no buckets and the interleaved grouped dispatch keeps
+// its own in the ring slots — get no arena up front; zeroBuckets
+// allocates it if a later execution needs it.
 func NewWorkspace(cfg *Config) *Workspace {
 	e := cfg.exec()
-	elems := e.Params.DWShape().Elems()
-	ws := &Workspace{z: e.Z(), elems: elems, buckets: make([][]float32, e.Z())}
-	for i := range ws.buckets {
-		ws.buckets[i] = make([]float32, elems)
+	ws := &Workspace{z: e.Z(), elems: e.Params.DWShape().Elems()}
+	if !cfg.ChannelPass() && (cfg.group == nil || !InterleavedGroups()) {
+		ws.zeroBuckets()
 	}
 	ws.rebind(e)
 	return ws
@@ -161,12 +164,12 @@ func (ws *Workspace) Fits(cfg *Config) bool {
 	return ws != nil && ws.z == e.Z() && ws.elems == e.Params.DWShape().Elems()
 }
 
-// Bytes returns the arena footprint: buckets plus whatever Ŵ-cache arenas
-// the executed precisions have materialized, plus the interleaved-dispatch
-// ring slots when grouped executions grew them. The cache stays within the
+// Bytes returns the arena footprint: whatever buckets and Ŵ-cache arenas
+// the executed paths have materialized, plus the interleaved-dispatch ring
+// slots when grouped executions grew them. The cache stays within the
 // analytic bound documented on Config.WHatCacheBytes.
 func (ws *Workspace) Bytes() int64 {
-	b := int64(ws.z)*int64(ws.elems)*4 +
+	b := int64(len(ws.buckets))*int64(ws.elems)*4 +
 		int64(cap(ws.what32))*4 + int64(cap(ws.what16))*2 +
 		int64(cap(ws.xDec))*4 + int64(cap(ws.dyDec))*4 +
 		int64(cap(ws.xg32))*4 + int64(cap(ws.dyg32))*4 +
@@ -180,26 +183,32 @@ func (ws *Workspace) Bytes() int64 {
 	return b
 }
 
-func (ws *Workspace) zero() {
-	for _, b := range ws.buckets {
-		for i := range b {
-			b[i] = 0
+// zeroBuckets allocates the z bucket arena on first use and zeroes it on
+// every later one.
+func (ws *Workspace) zeroBuckets() {
+	if len(ws.buckets) != ws.z {
+		ws.buckets = make([][]float32, ws.z)
+		for i := range ws.buckets {
+			ws.buckets[i] = make([]float32, ws.elems)
 		}
+		return
+	}
+	for _, b := range ws.buckets {
+		clear(b)
 	}
 }
 
-// ensureWorkspace returns a zeroed workspace for cfg: the caller's if it
-// fits (rebinding its schedule tables when cfg changed), a fresh one when
-// ws is nil.
+// ensureWorkspace returns a workspace for cfg with zeroed buckets: the
+// caller's if it fits (rebinding its schedule tables when cfg changed), a
+// fresh one when ws is nil.
 func ensureWorkspace(cfg *Config, ws *Workspace) *Workspace {
 	if ws == nil {
-		return NewWorkspace(cfg) // fresh arenas are already zero
-	}
-	if !ws.Fits(cfg) {
+		ws = NewWorkspace(cfg)
+	} else if !ws.Fits(cfg) {
 		panic("core: workspace does not fit configuration")
 	}
 	ws.rebind(cfg)
-	ws.zero()
+	ws.zeroBuckets()
 	return ws
 }
 
@@ -254,6 +263,12 @@ func ExecuteIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32) *tensor.F
 // pool participant still touches it — but its buckets hold partial sums,
 // and no result is produced.
 func executeIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32, cancel *sched.Batch) (out *tensor.Float32, ok bool) {
+	if cfg.ChannelPass() {
+		if p := cfg.Params; x.Shape != p.XShape() || dy.Shape != p.DYShape() {
+			panic("core: Execute operand shape mismatch")
+		}
+		return runChannelPass(cfg, ws, x, dy, nil, nil, dst, cancel)
+	}
 	if cfg.group != nil {
 		return executeGroupedIn(cfg, ws, x, dy, dst, cancel)
 	}
@@ -288,6 +303,12 @@ func ExecuteHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.F
 
 // executeHalfIn is executeIn for the FP16 path.
 func executeHalfIn(cfg *Config, ws *Workspace, x, dy *tensor.Half, dst *tensor.Float32, cancel *sched.Batch) (out *tensor.Float32, ok bool) {
+	if cfg.ChannelPass() {
+		if p := cfg.Params; x.Shape != p.XShape() || dy.Shape != p.DYShape() {
+			panic("core: ExecuteHalf operand shape mismatch")
+		}
+		return runChannelPass(cfg, ws, nil, nil, x, dy, dst, cancel)
+	}
 	if cfg.group != nil {
 		return executeGroupedHalfIn(cfg, ws, x, dy, dst, cancel)
 	}
@@ -340,7 +361,9 @@ func reduceTraced(cfg *Config, buckets [][]float32, dst *tensor.Float32, traceOn
 // steady-state executions allocate no transform scratch at all; the slices
 // grow to the largest geometry seen and are then reused as-is.
 type tileScratch struct {
-	v, wRaw, wHatF, xRaw, xHatF, acc, dT []float32
+	v, wRaw, wHatF, xRaw, xHatF, acc []float32
+	ks                               []kahan.Sum32 // channel-pass ∇W combine
+	xcRow                            []int         // channel-pass X̂ row-cache tags
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}
@@ -365,6 +388,14 @@ func growF32Zero(buf *[]float32, n int) []float32 {
 		s[i] = 0
 	}
 	return s
+}
+
+func growInt(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 func growHalf(buf *[]fp16.Bits, n int) []fp16.Bits {
