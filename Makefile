@@ -6,9 +6,12 @@ BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 BENCH_THRESHOLD ?= 0.15
 FUZZTIME ?= 30s
 
-.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke batch-smoke saturate v3-smoke grouped-smoke
+.PHONY: ci build test vet race bench serve bench-json bench-gate fuzz-smoke faults dispatch-smoke batch-smoke saturate grouped-smoke
 
+# ci also vets and builds for arm64, which compiles the portable twin of
+# the amd64 assembly EWM kernel (internal/core/gemm_other.go).
 ci: vet build race
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -99,21 +102,6 @@ grouped-smoke:
 				./internal/conv ./internal/core ./internal/serve || exit 1; \
 		done; \
 	done
-
-# v3-smoke builds the tree with GOAMD64=v3 — compiling in the arch-tuned
-# EWM panel variant behind the amd64.v3 build tag — and runs the
-# kernel-tier differential suites against the scalar oracle under it.
-# Skips gracefully on non-amd64 hosts, where the tag can never be set.
-v3-smoke:
-	@if [ "$$($(GO) env GOARCH)" != "amd64" ]; then \
-		echo "v3-smoke: GOARCH=$$($(GO) env GOARCH), skipping (amd64 only)"; \
-	else \
-		GOAMD64=v3 $(GO) build ./... && \
-		GOAMD64=v3 $(GO) test -count 1 \
-			-run 'TestEWM|TestMatTMulRow|TestExecuteHalfMatchesScalarCodecRef|TestStridedHalfMatchesScalarCodecRef' \
-			./internal/core && \
-		GOAMD64=v3 $(GO) test -count 1 ./internal/winograd ./internal/fp16; \
-	fi
 
 # fuzz-smoke runs every fuzz target from its seed corpus for FUZZTIME
 # each, plus the exhaustive codec equivalence sweeps (all 65536 decode

@@ -272,20 +272,6 @@ func runBenchJSON(path string) error {
 		})
 	}
 
-	// EWM-only microbenchmark rows: per Ω kernel, per block shape, fused
-	// vs unfused — kernel-tier regressions stay attributable without a
-	// full grid run. Hot-path gated like the grid rows.
-	for _, cell := range core.EWMMicroCells() {
-		name := "ewm/" + cell.Kernel + "/" + cell.Variant
-		rep.Results = append(rep.Results, benchResult{
-			Name: name, Algo: "ewm_micro", Shape: cell.Kernel,
-			NsPerOp:     measureNs(cell.Run),
-			AllocsPerOp: testing.AllocsPerRun(10, cell.Run),
-			HotPath:     true,
-			EWMKernel:   cell.Variant,
-		})
-	}
-
 	return rep.Write(path)
 }
 

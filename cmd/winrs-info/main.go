@@ -145,7 +145,11 @@ func main() {
 	}
 	fmt.Printf("what cache         %.2f MB (transformed-dY reuse, <= (max a/r) x dY)\n",
 		float64(cfg.WHatCacheBytes())/(1<<20))
-	fmt.Printf("ewm kernel         %s (host kernel-tier selection)\n", cfg.EWMKernel())
+	fmt.Printf("ewm kernel         %s (host EWM kernel)\n", cfg.EWMKernel())
+	if b := cfg.UnitScratchBytes(); b > 0 {
+		fmt.Printf("  per-worker unit  %.1f KB (accumulators, X̂ chunk and GEMM panels; not workspace)\n",
+			float64(b)/(1<<10))
+	}
 	blocksP := p
 	if g := cfg.GroupConfig(); g != nil {
 		blocksP = g.Params

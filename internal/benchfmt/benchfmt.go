@@ -70,9 +70,9 @@ type Result struct {
 	WHatCacheBytes int64              `json:"what_cache_bytes,omitempty"`
 	HotPath        bool               `json:"hot_path"` // gated by -compare
 	StageShares    map[string]float64 `json:"stage_shares,omitempty"`
-	// EWMKernel attributes the row to a kernel-tier variant (WinRS rows
-	// and EWM micro rows): e.g. "fused8x4", "block8x8+v3". Additive field,
-	// absent in pre-tier baselines — no schema bump.
+	// EWMKernel attributes a WinRS row to the EWM kernel its units ran:
+	// e.g. "gemm4x8+sse2", "channel". Additive field, absent in older
+	// baselines — no schema bump.
 	EWMKernel string `json:"ewm_kernel,omitempty"`
 }
 

@@ -177,8 +177,9 @@ func BackwardFilter3D(p conv.Params3D, x, dy *tensor.Float325, opts ...Option) (
 	return Execute3D(cfg, x, dy), nil
 }
 
-// segmentTile3D is segmentTile32 with the flattened (o_d, o_h) row axis
-// and two clipped padding axes.
+// segmentTile3D is the 2-D unit with the flattened (o_d, o_h) row axis
+// and two clipped padding axes, run as per-tile rank-1 updates with the
+// base panel.
 func segmentTile3D(p conv.Params3D, seg Segment, fd, fh, j int,
 	x, dy *tensor.Float325, bucket []float32) {
 	k := seg.K

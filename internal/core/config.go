@@ -467,8 +467,8 @@ func (c *Config) GroupRing() int {
 //
 // at 4 bytes per element in FP32 and, for FP16, 2 on the legacy
 // codec-per-unit path or 4 in the default decoded-operand mode (the
-// kernel tier keeps the binary16-rounded panels stored as float32 so
-// units skip the per-use decode; see fillRowHalfRes). Because α/r ≤ max_s(α_s/r_s)
+// binary16-rounded panels are stored as float32 so units skip the per-use
+// decode; see fillRowHalfRes). Because α/r ≤ max_s(α_s/r_s)
 // and Σ_seg Rows·Cols·N·O_C = |∇Y|, the cache is bounded by
 // (max_s α_s/r_s)·sizeof(∇Y) regardless of Z — it rides the "tiny
 // workspace" axis (≈3× |∇Y| for Ω₁₆(2,14), ≈2× for Ω₆(4,3)) and is not

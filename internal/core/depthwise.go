@@ -24,8 +24,8 @@ import (
 // (f_h, width-tile) of the block; X̂ = Dᵀ·X is an [α][cb/m] panel,
 // transformed once per input row and reused by the F_H output rows that
 // read it; and the EWM degenerates into the Hadamard product
-// v[e][c] += ŵ[e][c]·x̂[e][c/m] (same zero skip as the per-group EWM
-// panels). Each unit walks the segments, rows, tiles and images in the
+// v[e][c] += ŵ[e][c]·x̂[e][c/m] (with no zero skip, like the dense
+// units: 0·NaN must reach the accumulator). Each unit walks the segments, rows, tiles and images in the
 // per-group pipeline's order, applies Aᵀ per segment and Kahan-combines
 // the per-segment results straight into its own ∇W rows.
 //
@@ -377,7 +377,7 @@ func (j *chanJob) inputPanel(nb, ih, iw0, i0, ci, alpha int, xRaw, xHat []float3
 
 // hadamard is the channel pass's EWM: v[e][c] += ŵ[e][c]·x̂[e][·] over
 // all α rows, where column c reads the x̂ lane of output channel o0+c's
-// input channel, skipping zero Ŵ like the EWM panels. With m == 1
+// input channel. With m == 1
 // (depthwise) the input and output lanes coincide.
 func hadamard(v, wHat, xHat []float32, alpha, o0, m int) {
 	cb := len(wHat) / alpha
@@ -389,9 +389,7 @@ func hadamard(v, wHat, xHat []float32, alpha, o0, m int) {
 		if m == 1 {
 			xe = xe[:len(we)]
 			for c, w := range we {
-				if w != 0 {
-					ve[c] += w * xe[c]
-				}
+				ve[c] += w * xe[c]
 			}
 			continue
 		}
@@ -403,9 +401,7 @@ func hadamard(v, wHat, xHat []float32, alpha, o0, m int) {
 				cEnd = cb
 			}
 			for ; c < cEnd; c++ {
-				if w := we[c]; w != 0 {
-					ve[c] += w * xv
-				}
+				ve[c] += we[c] * xv
 			}
 		}
 	}

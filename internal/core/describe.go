@@ -39,12 +39,16 @@ type Description struct {
 	WorkspaceSeqBytes int64  `json:"workspaceSeqBytes,omitempty"`
 	// ChannelTileBytes is the channel pass's per-worker scratch (I_C/G == 1
 	// plans only; their workspace and Ŵ cache are 0).
-	ChannelTileBytes int64   `json:"channelTileBytes,omitempty"`
+	ChannelTileBytes int64 `json:"channelTileBytes,omitempty"`
+	// UnitScratchBytes is a dense unit's per-worker scratch: accumulators,
+	// X̂ chunk and GEMM panels (plans with I_C/G > 1 only). Pooled per
+	// worker, so WorkspaceBytes leaves it out.
+	UnitScratchBytes int64   `json:"unitScratchBytes,omitempty"`
 	WHatCacheBytes   int64   `json:"wHatCacheBytes"`
 	WHatCacheRatio   float64 `json:"wHatCacheRatio"`
 	TotalBlocks      int     `json:"totalBlocks"`
-	// EWMKernel is the kernel-tier variant the fast kernel's units resolve
-	// to under the current process knobs (e.g. "fused8x4", "block8x8+v3").
+	// EWMKernel names the EWM kernel the plan's units run (e.g.
+	// "gemm4x8+sse2", "channel").
 	EWMKernel string `json:"ewmKernel"`
 }
 
@@ -84,6 +88,7 @@ func (c *Config) Describe() Description {
 	d.WorkspaceBytes = c.WorkspaceBytes()
 	d.WHatCacheBytes = c.WHatCacheBytes()
 	d.ChannelTileBytes = c.ChannelTileBytes()
+	d.UnitScratchBytes = c.UnitScratchBytes()
 	if data := p.DataBytes32(); data > 0 {
 		d.WorkspaceRatio = float64(c.WorkspaceBytes()) / float64(data)
 		d.WHatCacheRatio = float64(c.WHatCacheBytes()) / float64(data)

@@ -19,29 +19,26 @@ func captureEnvWarn(t *testing.T) *[]string {
 	return &got
 }
 
-// An unrecognized WINRS_EWM_KERNEL must fall back to auto loudly, listing
-// the valid values — not silently, which hid typos like "block-8".
+// WINRS_EWM_KERNEL is retired: unset stays silent, and every value — the
+// old valid set and typos alike — warns exactly once, naming the knob, the
+// value and the kernel that runs regardless.
 func TestParseEWMModeWarnsOnUnknown(t *testing.T) {
 	warns := captureEnvWarn(t)
-	for val, want := range map[string]ewmMode{
-		"": ewmAuto, "auto": ewmAuto, "block4": ewmBlock4,
-		"block8": ewmBlock8, "fused": ewmFused,
-	} {
-		if got := parseEWMMode(val); got != want {
-			t.Errorf("parseEWMMode(%q) = %v, want %v", val, got, want)
+	if warnRetiredEWMKnob("") || len(*warns) != 0 {
+		t.Fatalf("unset knob warned: %v", *warns)
+	}
+	for i, val := range []string{"auto", "block4", "block8", "fused", "dw1", "block-8"} {
+		if !warnRetiredEWMKnob(val) {
+			t.Errorf("WINRS_EWM_KERNEL=%q not reported as retired", val)
 		}
-	}
-	if len(*warns) != 0 {
-		t.Fatalf("valid values warned: %v", *warns)
-	}
-	if got := parseEWMMode("block-8"); got != ewmAuto {
-		t.Errorf("unknown value mapped to %v, want auto", got)
-	}
-	if len(*warns) != 1 ||
-		!strings.Contains((*warns)[0], `"block-8"`) ||
-		!strings.Contains((*warns)[0], "WINRS_EWM_KERNEL") ||
-		!strings.Contains((*warns)[0], "block4") {
-		t.Fatalf("warning should name the knob, the bad value and the valid set; got %v", *warns)
+		if len(*warns) != i+1 {
+			t.Fatalf("WINRS_EWM_KERNEL=%q: %d warnings so far, want %d", val, len(*warns), i+1)
+		}
+		w := (*warns)[i]
+		if !strings.Contains(w, `"`+val+`"`) || !strings.Contains(w, "WINRS_EWM_KERNEL") ||
+			!strings.Contains(w, "retired") || !strings.Contains(w, gemmKernelName) {
+			t.Errorf("warning should name the knob, the value, that it is retired and the kernel; got %q", w)
+		}
 	}
 }
 

@@ -1,12 +1,13 @@
 package core
 
-// ewmPanels accumulates the α-batched outer products of one fused unit:
-// v[e] += Ŵ[e] ⊗ X̂[e] for e in [0, α), with v laid out [α][OC][IC], wHat
-// [α][OC] and xHat [α][IC]. This is the emulated Tensor-Core MMA shared by
-// the FP32, FP16 (operands pre-decoded to float32) and quantized paths.
+// ewmPanels accumulates the α-batched outer products of one tile as rank-1
+// updates: v[e] += Ŵ[e] ⊗ X̂[e] for e in [0, α), with v laid out
+// [α][OC][IC], wHat [α][OC] and xHat [α][IC]. The dense units run the
+// packed GEMM kernel instead (dense.go); this base panel serves the
+// quantized, 3-D and legacy FP16 codec paths.
 //
-// Each v element receives exactly one fused add per e, in the same (e, a,
-// b) order as a naive triple loop, so register blocking leaves the
+// Each v element receives exactly one add per e, in the same (e, a, b)
+// order as a naive triple loop, so register blocking leaves the
 // accumulation bit-identical per element.
 func ewmPanels(v, wHat, xHat []float32, alpha, oc, ic int) {
 	for e := 0; e < alpha; e++ {
@@ -15,19 +16,16 @@ func ewmPanels(v, wHat, xHat []float32, alpha, oc, ic int) {
 }
 
 // ewmPanel computes ve[a][b] += we[a]·xe[b] with 4×4 register blocking:
-// four Ŵ values and four X̂ values are held across a 16-FMA inner body, so
-// each Ŵ load amortizes over 4 columns and each X̂ load over 4 rows. Row
-// blocks whose four Ŵ values are all zero are skipped wholesale (the
-// common case under Winograd sparsity); remainder rows keep the per-row
-// zero skip. The three-index slice expressions pin each row's length to ic
-// so the compiler can hoist the bounds checks out of the inner loop.
+// four Ŵ values and four X̂ values are held across a 16-product inner
+// body, so each Ŵ load amortizes over 4 columns and each X̂ load over 4
+// rows. Zero Ŵ rows are not skipped: 0·NaN and 0·Inf must still reach
+// the accumulator. The three-index slice expressions pin each row's
+// length to ic so the compiler can hoist the bounds checks out of the
+// inner loop.
 func ewmPanel(ve, we, xe []float32, oc, ic int) {
 	a := 0
 	for ; a+4 <= oc; a += 4 {
 		w0, w1, w2, w3 := we[a], we[a+1], we[a+2], we[a+3]
-		if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 {
-			continue
-		}
 		r0 := ve[(a+0)*ic : (a+0)*ic+ic : (a+0)*ic+ic]
 		r1 := ve[(a+1)*ic : (a+1)*ic+ic : (a+1)*ic+ic]
 		r2 := ve[(a+2)*ic : (a+2)*ic+ic : (a+2)*ic+ic]
@@ -62,9 +60,6 @@ func ewmPanel(ve, we, xe []float32, oc, ic int) {
 	}
 	for ; a < oc; a++ {
 		wv := we[a]
-		if wv == 0 {
-			continue
-		}
 		row := ve[a*ic : a*ic+ic : a*ic+ic]
 		for b, xv := range xe {
 			row[b] += wv * xv

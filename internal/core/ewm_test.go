@@ -2,27 +2,19 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"winrs/internal/conv"
 	"winrs/internal/tensor"
-	"winrs/internal/winograd"
 )
 
-// Kernel-tier differential tests: every block-shape variant, the fused
-// transform+EWM mode and the FP16 decoded-operand mode must be
-// bit-identical to the base 4×4 unfused path (FP32) and to the serial
-// scalar-codec reference (FP16), inline and through a width-4 pool.
-
-// forceEWM overrides the kernel-tier forcing mode for the duration of the
-// test — the test-process form of the WINRS_EWM_KERNEL env knob.
-func forceEWM(t testing.TB, mode ewmMode) {
-	t.Helper()
-	prev := ewmForce
-	ewmForce = mode
-	t.Cleanup(func() { ewmForce = prev })
-}
+// EWM differential tests: the packed GEMM kernel behind the dense units
+// must be bit-identical to the retired rank-1 panel tier (FP32) and to the
+// serial scalar-codec reference (FP16), inline and through a width-4 pool,
+// and every retired WINRS_EWM_KERNEL value must be a warn-once no-op.
 
 // forceResident overrides the FP16 decoded-operand knob
 // (WINRS_FP16_RESIDENT) for the duration of the test.
@@ -33,33 +25,27 @@ func forceResident(t testing.TB, on bool) {
 	t.Cleanup(func() { fp16Resident = prev })
 }
 
-// ewmVariantModes is the force matrix of the differential sweeps: every
-// WINRS_EWM_KERNEL value, each pinned against the base/oracle tier. The
-// "dw1" leg is the retired depthwise tier's value: it must warn, resolve
-// to auto and change no bits (see forceEWMEnv).
+// ewmVariantModes lists the values WINRS_EWM_KERNEL accepted before the
+// knob was retired. Each must now warn once and change no bits.
 var ewmVariantModes = []string{"auto", "block4", "block8", "fused", "dw1"}
 
-// ewmRetired lists WINRS_EWM_KERNEL values of retired tiers.
-var ewmRetired = map[string]bool{"dw1": true}
-
-// forceEWMEnv forces the mode a WINRS_EWM_KERNEL value parses to, checking
-// that retired values take the warn-and-list path to auto.
+// forceEWMEnv sets WINRS_EWM_KERNEL for the test and checks the startup
+// check's contract: exactly one warning naming the knob, the value and the
+// kernel that runs instead.
 func forceEWMEnv(t *testing.T, env string) {
 	t.Helper()
 	warns := captureEnvWarn(t)
-	mode := parseEWMMode(env)
-	if ewmRetired[env] {
-		if mode != ewmAuto || len(*warns) != 1 {
-			t.Fatalf("retired WINRS_EWM_KERNEL=%q: mode %v, warnings %v; want auto with one warning", env, mode, *warns)
-		}
-	} else if len(*warns) != 0 {
-		t.Fatalf("WINRS_EWM_KERNEL=%q warned: %v", env, *warns)
+	t.Setenv("WINRS_EWM_KERNEL", env)
+	if !warnRetiredEWMKnob(env) || len(*warns) != 1 ||
+		!strings.Contains((*warns)[0], "WINRS_EWM_KERNEL") ||
+		!strings.Contains((*warns)[0], `"`+env+`"`) ||
+		!strings.Contains((*warns)[0], gemmKernelName) {
+		t.Fatalf("retired WINRS_EWM_KERNEL=%q: warnings %v; want one naming the knob, value and kernel", env, *warns)
 	}
-	forceEWM(t, mode)
 }
 
 // randPanels builds Ŵ/X̂ panels with planted zero rows (the zero-skip
-// paths) and a sign/magnitude mix.
+// paths of the retired panels) and a sign/magnitude mix.
 func randPanels(rng *rand.Rand, alpha, oc, ic int) (wHat, xHat []float32) {
 	wHat = make([]float32, alpha*oc)
 	xHat = make([]float32, alpha*ic)
@@ -75,42 +61,55 @@ func randPanels(rng *rand.Rand, alpha, oc, ic int) (wHat, xHat []float32) {
 	return wHat, xHat
 }
 
-// Every register-blocked panel variant must produce bit-identical
-// accumulators to the base 4×4 kernel across row/column remainders
-// (including oc < 8 tails and ic % 8 ≠ 0) and planted zero rows: each v
-// element receives exactly one fused add per e in every variant, so any
-// difference is a real indexing bug.
+// The dense EWM (X̂ and Ŵ packing and gemmChunk over several chunks)
+// must produce bit-identical accumulators to per-tile rank-1 updates with
+// the base 4×4 panel, across O_C/I_C remainders, planted zero rows and a
+// random prior: each element receives one product and one add per tile,
+// in tile order, either way.
 func TestEWMPanelVariantsMatchBase(t *testing.T) {
-	variants := []struct {
-		name  string
-		panel ewmPanelFunc
-	}{
-		{"8x4", ewmPanel8x4},
-		{"8x8", ewmPanel8x8},
-		{"8x8arch", ewmPanel8x8Arch},
-	}
 	rng := rand.New(rand.NewSource(41))
+	const tilesN, chunk = 11, 4 // three chunks, the last one partial
 	for _, alpha := range []int{2, 4, 8, 16} {
 		for _, oc := range []int{1, 3, 4, 7, 8, 9, 11, 16} {
 			for _, ic := range []int{1, 3, 4, 5, 8, 9, 16} {
-				wHat, xHat := randPanels(rng, alpha, oc, ic)
-				// Accumulate into a shared random prior — variants must
-				// agree on the += behaviour, not just on fresh zeros.
-				prior := make([]float32, alpha*oc*ic)
-				for i := range prior {
-					prior[i] = rng.Float32()
+				ocp, icp := pad4(oc), pad8(ic)
+				what := make([]float32, 0, tilesN*alpha*oc)
+				xHats := make([][]float32, tilesN)
+				for t := range xHats {
+					var w []float32
+					w, xHats[t] = randPanels(rng, alpha, oc, ic)
+					what = append(what, w...)
 				}
-				base := make([]float32, len(prior))
-				copy(base, prior)
-				ewmPanelsSel(ewmPanel, base, wHat, xHat, alpha, oc, ic)
-				for _, vr := range variants {
-					got := make([]float32, len(prior))
-					copy(got, prior)
-					ewmPanelsSel(vr.panel, got, wHat, xHat, alpha, oc, ic)
-					for i := range base {
-						if got[i] != base[i] {
-							t.Fatalf("%s α=%d oc=%d ic=%d: element %d differs: %v vs %v",
-								vr.name, alpha, oc, ic, i, got[i], base[i])
+				base := make([]float32, alpha*oc*ic)
+				for i := range base {
+					base[i] = rng.Float32()
+				}
+				got := make([]float32, alpha*ocp*icp) // [ocp][α][icp]
+				for e := 0; e < alpha; e++ {
+					for a := 0; a < oc; a++ {
+						copy(got[(a*alpha+e)*icp:][:ic], base[(e*oc+a)*ic:][:ic])
+					}
+				}
+				for t := 0; t < tilesN; t++ {
+					ewmPanels(base, what[t*alpha*oc:(t+1)*alpha*oc], xHats[t], alpha, oc, ic)
+				}
+				xPack := make([]float32, chunk*alpha*icp)
+				wPack := make([]float32, chunk*ocp)
+				for t0 := 0; t0 < tilesN; t0 += chunk {
+					kt := min(chunk, tilesN-t0)
+					for t := 0; t < kt; t++ {
+						packX(xPack, xHats[t0+t], t, chunk, alpha, ic, icp)
+					}
+					gemmChunk(got, what, t0*alpha*oc, kt, xPack, wPack, alpha, oc, icp, chunk)
+				}
+				for e := 0; e < alpha; e++ {
+					for a := 0; a < oc; a++ {
+						for b := 0; b < ic; b++ {
+							g, w := got[(a*alpha+e)*icp+b], base[(e*oc+a)*ic+b]
+							if g != w {
+								t.Fatalf("α=%d oc=%d ic=%d: v[%d][%d][%d] = %v, rank-1 %v",
+									alpha, oc, ic, e, a, b, g, w)
+							}
 						}
 					}
 				}
@@ -119,41 +118,71 @@ func TestEWMPanelVariantsMatchBase(t *testing.T) {
 	}
 }
 
-// matTMulRowF32 (the FP16 fused path's row-at-a-time input transform)
-// must reproduce each row of matTMulF32 exactly: per output row the
-// ascending-k accumulation order is identical.
-func TestMatTMulRowMatchesPanel(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, kr := range []struct{ n, r int }{{3, 2}, {3, 6}, {9, 8}} {
-		k, ok := winograd.Lookup(kr.n, kr.r)
-		if !ok {
-			t.Fatalf("kernel Ω(%d,%d) missing from registry", kr.n, kr.r)
+// segmentTile32Rank1 is the dense FP32 unit as the retired rank-1 tier ran
+// it: per tile the input transform, then one ewmPanels update of the whole
+// α·O_C·I_C accumulator, then the output transform. The oracle of the
+// packed-GEMM unit.
+func segmentTile32Rank1(p conv.Params, seg Segment, fh, j int, x *tensor.Float32,
+	what, bucket []float32) {
+	tr := seg.K.Transform().Balanced()
+	_, dtPlan := tr.PanelPlans()
+	n, r, alpha := tr.N, tr.R, tr.Alpha
+	oc, ic := p.OC, p.IC
+	v := make([]float32, alpha*oc*ic)
+	xRaw := make([]float32, alpha*ic)
+	xHat := make([]float32, alpha*ic)
+	colBase := j * n
+	entry := alpha * oc
+	tiles := seg.Cols() / r
+	for oh := seg.Row0; oh < seg.Row1; oh++ {
+		ih := oh + fh - p.PH
+		if ih < 0 || ih >= p.IH {
+			continue
 		}
-		tr := k.Transform()
-		_, dMat, _ := halfMats(tr)
-		alpha, ic := tr.Alpha, 5
-		in := make([]float32, alpha*ic)
-		for i := range in {
-			in[i] = (rng.Float32() - 0.5) * 8
-		}
-		want := make([]float32, alpha*ic)
-		matTMulF32(dMat, in, want, alpha, ic)
-		row := make([]float32, ic)
-		for e := 0; e < alpha; e++ {
-			matTMulRowF32(dMat, in, row, e, alpha, ic)
-			for x := 0; x < ic; x++ {
-				if row[x] != want[e*ic+x] {
-					t.Fatalf("Ω%d row %d col %d: %v vs %v", alpha, e, x, row[x], want[e*ic+x])
+		rowBase := (oh - seg.Row0) * tiles
+		for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
+			for nb := 0; nb < p.N; nb++ {
+				wHat := what[((rowBase+t)*p.N+nb)*entry:][:entry]
+				for u := 0; u < alpha; u++ {
+					iw := ow0 + colBase + u - p.PW
+					dst := xRaw[u*ic : (u+1)*ic]
+					clear(dst)
+					if iw >= 0 && iw < p.IW {
+						base := x.Shape.Index(nb, ih, iw, 0)
+						copy(dst, x.Data[base:base+ic])
+					}
 				}
+				dtPlan.MulPanel(xRaw, xHat, alpha, ic)
+				ewmPanels(v, wHat, xHat, alpha, oc, ic)
 			}
 		}
 	}
+	writeOutput(p, tr.A, v, bucket, fh, colBase, n, alpha, oc, ic, make([]float32, alpha))
 }
 
-// ewmSweepCases is the forced-variant differential subset: shapes chosen
-// to cover α ∈ {4, 8, 16} kernels, padding clip paths, O_C/I_C remainders
-// and multi-segment scheduling, while keeping the mode × precision ×
-// pool matrix affordable under -race.
+// execute32Rank1Ref runs an ungrouped FP32 plan serially through the
+// rank-1 units: Ŵ-cache fill, units, Kahan reduction.
+func execute32Rank1Ref(cfg *Config, x, dy *tensor.Float32) *tensor.Float32 {
+	ws := NewWorkspace(cfg)
+	growF32(&ws.what32, ws.whatOff[len(ws.whatOff)-1])
+	for si, seg := range cfg.Segments {
+		what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+		for oh := seg.Row0; oh < seg.Row1; oh++ {
+			fillRow32(cfg.Params, seg, oh, dy, what)
+		}
+		for fh := 0; fh < cfg.Params.FH; fh++ {
+			for jt := 0; jt < cfg.Params.FW/seg.K.N; jt++ {
+				segmentTile32Rank1(cfg.Params, seg, fh, jt, x, what, ws.buckets[si])
+			}
+		}
+	}
+	return reduceInto(cfg, ws.buckets, nil)
+}
+
+// ewmSweepCases is the EWM differential subset: shapes chosen to cover
+// α ∈ {4, 8, 16} kernels, padding clip paths, O_C/I_C remainders (padded
+// GEMM lanes, I_C % 8 ≠ 0 transforms) and multi-segment scheduling, while
+// keeping the knob-value × precision × pool matrix affordable under -race.
 var ewmSweepCases = []struct {
 	name string
 	p    conv.Params
@@ -164,11 +193,11 @@ var ewmSweepCases = []struct {
 	{"nonpow2_channels", conv.Params{N: 1, IH: 13, IW: 17, FH: 3, FW: 3, IC: 5, OC: 7, PH: 1, PW: 1}, 3},
 	{"c16_interior", conv.Params{N: 1, IH: 16, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}, 2},
 	{"9x9_alpha16", conv.Params{N: 1, IH: 20, IW: 20, FH: 9, FW: 9, IC: 3, OC: 9, PH: 4, PW: 4}, 0},
+	{"5x5_alpha16_c8", conv.Params{N: 1, IH: 12, IW: 28, FH: 5, FW: 5, IC: 8, OC: 5, PH: 2, PW: 2}, 2},
 }
 
-// Forcing each kernel-tier mode must not change a single output bit on
-// the FP32 path: the oracle is the forced base tier (block4 = the 4×4
-// unfused kernel the pre-tier code ran), compared inline and pooled.
+// The FP32 dense units must match the rank-1 oracle bit for bit, inline
+// and pooled, under every retired WINRS_EWM_KERNEL value.
 func TestEWMForcedVariantsMatchBaseFP32(t *testing.T) {
 	for _, tc := range ewmSweepCases {
 		opts := []Option{}
@@ -181,11 +210,7 @@ func TestEWMForcedVariantsMatchBaseFP32(t *testing.T) {
 		}
 		x, dy := poolLayer(t, 43, tc.p)
 
-		var want *tensor.Float32
-		func() {
-			forceEWM(t, ewmBlock4)
-			want = Execute(cfg, x, dy)
-		}()
+		want := execute32Rank1Ref(cfg, x, dy)
 
 		for _, vm := range ewmVariantModes {
 			t.Run(tc.name+"/"+vm, func(t *testing.T) {
@@ -201,8 +226,9 @@ func TestEWMForcedVariantsMatchBaseFP32(t *testing.T) {
 	}
 }
 
-// The FP16 force matrix: every kernel-tier mode × resident/codec operand
-// mode must match the serial scalar-codec reference executor bit for bit.
+// The FP16 matrix: every retired WINRS_EWM_KERNEL value × resident/codec
+// operand mode must match the serial scalar-codec reference executor (a
+// rank-1 pipeline) bit for bit.
 // This is the oracle pinning of the decoded-operand residency claim: the
 // float32-resident Ŵ cache and bulk-decoded operands hold exactly the
 // values the per-unit scalar codec round trips produce.
@@ -241,7 +267,7 @@ func TestEWMForcedVariantsMatchScalarRefFP16(t *testing.T) {
 
 // Steady-state pooled ExecuteHalfIn must allocate nothing in the default
 // decoded-operand mode: the resident Ŵ cache, the xDec/dyDec mirrors and
-// the fused-path closure all live in reused arenas or on the stack.
+// the GEMM panels all live in reused arenas or on the stack.
 func TestExecuteHalfAllocsZeroWithPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pinning runs without -race")
@@ -267,40 +293,47 @@ func TestExecuteHalfAllocsZeroWithPool(t *testing.T) {
 	})
 }
 
-// EWMKernel must report the selection the executing units actually
-// resolve, including force modes and the codec fallback tag.
+// EWMKernel and Describe must name the kernel the units run — the GEMM
+// kernel in both precisions whatever WINRS_EWM_KERNEL says, the base panel
+// on the codec path — and report the unit scratch outside the workspace.
 func TestEWMKernelReporting(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}
-	cfg, err := Configure(p) // fast kernel Ω8(3,6): fp32 block (64, 32)
+	cfg, err := Configure(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg16, err := Configure(p, WithFP16()) // fp16 block (128, 64)
+	cfg16, err := Configure(p, WithFP16())
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	forceEWM(t, ewmAuto)
 	forceResident(t, true)
-	if got, want := cfg.EWMKernel(), "fused8x4"; got != want {
-		t.Errorf("fp32 auto: %q, want %q (B_M 32 keeps the 4-wide column block)", got, want)
+	want := "gemm4x8"
+	if runtime.GOARCH == "amd64" {
+		want = "gemm4x8+sse2"
 	}
-	if got, want := cfg16.EWMKernel(), "fused8x8"+ewmArchSuffix; got != want {
-		t.Errorf("fp16 auto: %q, want %q (precision-aware B_M 64 widens the block)", got, want)
-	}
-
-	forceEWM(t, ewmBlock4)
-	if got, want := cfg.EWMKernel(), "block4x4"; got != want {
-		t.Errorf("forced block4: %q, want %q", got, want)
+	for _, env := range ewmVariantModes {
+		forceEWMEnv(t, env)
+		if got := cfg.EWMKernel(); got != want {
+			t.Errorf("fp32 with WINRS_EWM_KERNEL=%s: %q, want %q", env, got, want)
+		}
+		if got := cfg16.EWMKernel(); got != want {
+			t.Errorf("fp16 with WINRS_EWM_KERNEL=%s: %q, want %q", env, got, want)
+		}
 	}
 
 	forceResident(t, false)
-	forceEWM(t, ewmAuto)
 	if got, want := cfg16.EWMKernel(), "block4x4+codec"; got != want {
 		t.Errorf("fp16 codec fallback: %q, want %q", got, want)
 	}
 
-	if d := cfg.Describe(); d.EWMKernel == "" {
-		t.Error("Describe() leaves EWMKernel empty")
+	d := cfg.Describe()
+	if d.EWMKernel != want {
+		t.Errorf("Describe().EWMKernel = %q, want %q", d.EWMKernel, want)
+	}
+	if d.UnitScratchBytes <= 0 || d.UnitScratchBytes != cfg.UnitScratchBytes() {
+		t.Errorf("Describe().UnitScratchBytes = %d, Config says %d", d.UnitScratchBytes, cfg.UnitScratchBytes())
+	}
+	if d.WorkspaceBytes != cfg.WorkspaceBytes() {
+		t.Errorf("Describe().WorkspaceBytes = %d, Config says %d", d.WorkspaceBytes, cfg.WorkspaceBytes())
 	}
 }

@@ -3,36 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
-
-	"winrs/internal/winograd"
 )
-
-// The EWM kernel tier: shape-specialized register-blocked panel kernels
-// selected per Ω kernel and precision, plus the fused transform+EWM
-// execution mode. Every variant is bit-identical to the base 4×4 kernel
-// (the scalar-oracle tier of ewm.go) because each v element still receives
-// exactly one fused add per e — register blocking and row interleaving
-// only reorder independent accumulators — and the fused mode replicates
-// the transform's per-row arithmetic exactly (see MulPanelEmit and
-// matTMulRowF32). The differential suites force every mode through the
-// codecref/pool oracles to pin this.
-
-// ewmMode is the kernel-tier forcing knob: auto (per-kernel selection),
-// or one of the force values the differential sweeps pin each variant
-// with. Settable via WINRS_EWM_KERNEL=auto|block4|block8|fused. Plans with
-// I_C/G == 1 run the channel pass (depthwise.go), which the knob does not
-// reach.
-type ewmMode uint8
-
-const (
-	ewmAuto   ewmMode = iota
-	ewmBlock4         // force the base 4×4 tier (the oracle's kernel)
-	ewmBlock8         // force 8-row blocking, fusion disabled
-	ewmFused          // force the fused transform+EWM mode (any α)
-)
-
-// ewmForce is the process-wide forcing mode; tests swap it via forceEWM.
-var ewmForce = parseEWMMode(os.Getenv("WINRS_EWM_KERNEL"))
 
 // fp16Resident selects the decoded-operand FP16 mode: the Ŵ cache and the
 // gathered operands stay in float32 form across filter units instead of
@@ -41,30 +12,25 @@ var ewmForce = parseEWMMode(os.Getenv("WINRS_EWM_KERNEL"))
 // legacy codec-per-unit path.
 var fp16Resident = parseFP16Resident(os.Getenv("WINRS_FP16_RESIDENT"))
 
-// envWarnf reports a malformed environment knob; tests swap it to capture
-// the diagnostics.
+// envWarnf reports a malformed or retired environment knob; tests swap it
+// to capture the diagnostics.
 var envWarnf = func(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
-// parseEWMMode maps WINRS_EWM_KERNEL to a forcing mode. An unrecognized
-// value warns and falls back to auto — silently treating a typoed forcing
-// as auto would make a differential run that believes it pinned a variant
-// test nothing.
-func parseEWMMode(s string) ewmMode {
-	switch s {
-	case "", "auto":
-		return ewmAuto
-	case "block4":
-		return ewmBlock4
-	case "block8":
-		return ewmBlock8
-	case "fused":
-		return ewmFused
-	default:
-		envWarnf("winrs: unrecognized WINRS_EWM_KERNEL=%q; valid values are auto, block4, block8, fused — using auto", s)
-		return ewmAuto
+// WINRS_EWM_KERNEL used to force one of several EWM kernel tiers. The
+// dense EWM now always runs the packed GEMM kernel, so the knob is read
+// once at startup only to warn that it no longer does anything.
+var _ = warnRetiredEWMKnob(os.Getenv("WINRS_EWM_KERNEL"))
+
+// warnRetiredEWMKnob warns when WINRS_EWM_KERNEL is set and reports
+// whether it did.
+func warnRetiredEWMKnob(s string) bool {
+	if s == "" {
+		return false
 	}
+	envWarnf("winrs: WINRS_EWM_KERNEL=%q is retired and ignored; the dense EWM always runs %s", s, gemmKernelName)
+	return true
 }
 
 // parseFP16Resident maps WINRS_FP16_RESIDENT to the decoded-operand flag:
@@ -82,377 +48,36 @@ func parseFP16Resident(s string) bool {
 	}
 }
 
-// ewmPanelFunc is one register-blocked EWM panel kernel:
-// ve[a][b] += we[a]·xe[b].
-type ewmPanelFunc func(ve, we, xe []float32, oc, ic int)
-
-// ewmSel is the resolved kernel-tier selection for one segment kernel.
-type ewmSel struct {
-	panel ewmPanelFunc
-	fused bool
-	name  string
-}
-
-// selectEWM resolves the kernel-tier variant for a segment kernel. The
-// block shape follows the kernel's cache-block table: 8-row blocking
-// whenever O_C can fill a block row (every Ω kernel has B_N ≥ 64), and the
-// column width widens from 4 to 8 when B_M ≥ 64 and I_C fills it — the
-// same footnote-3 trade-off that shrinks GPU cache blocks as α grows
-// shrinks the profitable host register block. Fusion (transform+EWM in one
-// tile pass) applies to the small-α kernels, where the X̂ panel is small
-// enough that consuming each row immediately after its transform keeps the
-// whole chain in L1.
-// ewmNames holds the pre-concatenated attribution strings ([fused][shape])
-// so selectEWM never builds a string at runtime — it runs on the per-unit
-// zero-allocation hot path. The expressions are compile-time constants
-// (ewmArchSuffix is a build-tagged const).
-var ewmNames = [2][3]string{
-	{"block4x4", "block8x4", "block8x8" + ewmArchSuffix},
-	{"fused4x4", "fused8x4", "fused8x8" + ewmArchSuffix},
-}
-
-func selectEWM(k winograd.Kernel, fp16 bool, oc, ic int) ewmSel {
-	mode := ewmForce
-	var sel ewmSel
-	shape := 0
-	bn, bm := k.CacheBlock(fp16)
-	switch {
-	case mode == ewmBlock4 || oc < 8 || bn < 64:
-		sel.panel = ewmPanel
-	case ic >= 8 && bm >= 64:
-		sel.panel, shape = ewmPanel8x8Arch, 2
-	default:
-		sel.panel, shape = ewmPanel8x4, 1
-	}
-	switch mode {
-	case ewmAuto:
-		sel.fused = k.Alpha <= 8
-	case ewmFused:
-		sel.fused = true
-	}
-	if sel.fused {
-		sel.name = ewmNames[1][shape]
-	} else {
-		sel.name = ewmNames[0][shape]
-	}
-	return sel
-}
-
-// EWMKernel reports the kernel-tier selection the plan's fast kernel
-// resolves to under the current process knobs — the per-plan attribution
-// recorded by winrs-info and the bench JSON's ewm_kernel field. Plans that
-// take the channel pass report "channel" in both precisions.
+// EWMKernel reports the EWM kernel the plan's units run — the per-plan
+// attribution recorded by winrs-info and the bench JSON's ewm_kernel
+// field: the packed GEMM kernel (gemmKernelName) for dense plans,
+// "channel" for plans that take the channel pass, and the base rank-1
+// panel for the legacy FP16 codec path.
 func (c *Config) EWMKernel() string {
-	if c.ChannelPass() {
+	switch {
+	case c.ChannelPass():
 		return "channel"
-	}
-	if c.FP16 && !fp16Resident {
-		// The legacy codec-per-unit FP16 path stays on the unfused base
-		// kernel — it is the knob-off compatibility tier.
+	case c.FP16 && !fp16Resident:
 		return "block4x4+codec"
 	}
-	e := c.exec() // grouped plans attribute the per-group operand shape
-	sel := selectEWM(e.Pair.Fast, c.FP16, e.Params.OC, e.Params.IC)
-	return sel.name
+	return gemmKernelName
 }
 
-// ewmPanelsSel is ewmPanels with a selected panel kernel.
-func ewmPanelsSel(panel ewmPanelFunc, v, wHat, xHat []float32, alpha, oc, ic int) {
-	for e := 0; e < alpha; e++ {
-		panel(v[e*oc*ic:(e+1)*oc*ic], wHat[e*oc:(e+1)*oc], xHat[e*ic:(e+1)*ic], oc, ic)
+// UnitScratchBytes is the per-worker scratch one dense unit borrows: the
+// padded accumulators, a chunk of X̂ panels, the Ŵ panels and the tile
+// buffers (see denseUnit). It is pooled per worker, not workspace, so
+// WorkspaceBytes does not count it. Channel-pass plans report 0 (their
+// scratch is ChannelTileBytes).
+func (c *Config) UnitScratchBytes() int64 {
+	if c.ChannelPass() {
+		return 0
 	}
-}
-
-// ewmPanel8x4 is the 8-row × 4-column register block: eight Ŵ values held
-// across a 32-FMA body so each X̂ load amortizes over 8 rows. Row blocks
-// whose eight Ŵ values are all zero are skipped wholesale; the O_C
-// remainder falls through to the 4×4 tail. Identical accumulation per
-// element as the base kernel (one fused add per (a, b)).
-func ewmPanel8x4(ve, we, xe []float32, oc, ic int) {
-	a := 0
-	for ; a+8 <= oc; a += 8 {
-		w0, w1, w2, w3 := we[a], we[a+1], we[a+2], we[a+3]
-		w4, w5, w6, w7 := we[a+4], we[a+5], we[a+6], we[a+7]
-		if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 &&
-			w4 == 0 && w5 == 0 && w6 == 0 && w7 == 0 {
-			continue
-		}
-		r0 := ve[(a+0)*ic : (a+0)*ic+ic : (a+0)*ic+ic]
-		r1 := ve[(a+1)*ic : (a+1)*ic+ic : (a+1)*ic+ic]
-		r2 := ve[(a+2)*ic : (a+2)*ic+ic : (a+2)*ic+ic]
-		r3 := ve[(a+3)*ic : (a+3)*ic+ic : (a+3)*ic+ic]
-		r4 := ve[(a+4)*ic : (a+4)*ic+ic : (a+4)*ic+ic]
-		r5 := ve[(a+5)*ic : (a+5)*ic+ic : (a+5)*ic+ic]
-		r6 := ve[(a+6)*ic : (a+6)*ic+ic : (a+6)*ic+ic]
-		r7 := ve[(a+7)*ic : (a+7)*ic+ic : (a+7)*ic+ic]
-		b := 0
-		for ; b+4 <= ic; b += 4 {
-			x0, x1, x2, x3 := xe[b], xe[b+1], xe[b+2], xe[b+3]
-			r0[b] += w0 * x0
-			r0[b+1] += w0 * x1
-			r0[b+2] += w0 * x2
-			r0[b+3] += w0 * x3
-			r1[b] += w1 * x0
-			r1[b+1] += w1 * x1
-			r1[b+2] += w1 * x2
-			r1[b+3] += w1 * x3
-			r2[b] += w2 * x0
-			r2[b+1] += w2 * x1
-			r2[b+2] += w2 * x2
-			r2[b+3] += w2 * x3
-			r3[b] += w3 * x0
-			r3[b+1] += w3 * x1
-			r3[b+2] += w3 * x2
-			r3[b+3] += w3 * x3
-			r4[b] += w4 * x0
-			r4[b+1] += w4 * x1
-			r4[b+2] += w4 * x2
-			r4[b+3] += w4 * x3
-			r5[b] += w5 * x0
-			r5[b+1] += w5 * x1
-			r5[b+2] += w5 * x2
-			r5[b+3] += w5 * x3
-			r6[b] += w6 * x0
-			r6[b+1] += w6 * x1
-			r6[b+2] += w6 * x2
-			r6[b+3] += w6 * x3
-			r7[b] += w7 * x0
-			r7[b+1] += w7 * x1
-			r7[b+2] += w7 * x2
-			r7[b+3] += w7 * x3
-		}
-		for ; b < ic; b++ {
-			xv := xe[b]
-			r0[b] += w0 * xv
-			r1[b] += w1 * xv
-			r2[b] += w2 * xv
-			r3[b] += w3 * xv
-			r4[b] += w4 * xv
-			r5[b] += w5 * xv
-			r6[b] += w6 * xv
-			r7[b] += w7 * xv
+	e := c.exec() // grouped plans run the per-group operand shape
+	var max int64
+	for _, s := range e.Segments {
+		if b := denseScratchBytes(e.Params, s); b > max {
+			max = b
 		}
 	}
-	if a < oc {
-		ewmPanelTail(ve, we, xe, a, oc, ic)
-	}
-}
-
-// ewmPanelTail handles the O_C remainder of the 8-row kernels with the
-// base kernel's 4-row blocks and per-row zero skip, starting at row a0.
-func ewmPanelTail(ve, we, xe []float32, a0, oc, ic int) {
-	a := a0
-	for ; a+4 <= oc; a += 4 {
-		w0, w1, w2, w3 := we[a], we[a+1], we[a+2], we[a+3]
-		if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 {
-			continue
-		}
-		r0 := ve[(a+0)*ic : (a+0)*ic+ic : (a+0)*ic+ic]
-		r1 := ve[(a+1)*ic : (a+1)*ic+ic : (a+1)*ic+ic]
-		r2 := ve[(a+2)*ic : (a+2)*ic+ic : (a+2)*ic+ic]
-		r3 := ve[(a+3)*ic : (a+3)*ic+ic : (a+3)*ic+ic]
-		b := 0
-		for ; b+4 <= ic; b += 4 {
-			x0, x1, x2, x3 := xe[b], xe[b+1], xe[b+2], xe[b+3]
-			r0[b] += w0 * x0
-			r0[b+1] += w0 * x1
-			r0[b+2] += w0 * x2
-			r0[b+3] += w0 * x3
-			r1[b] += w1 * x0
-			r1[b+1] += w1 * x1
-			r1[b+2] += w1 * x2
-			r1[b+3] += w1 * x3
-			r2[b] += w2 * x0
-			r2[b+1] += w2 * x1
-			r2[b+2] += w2 * x2
-			r2[b+3] += w2 * x3
-			r3[b] += w3 * x0
-			r3[b+1] += w3 * x1
-			r3[b+2] += w3 * x2
-			r3[b+3] += w3 * x3
-		}
-		for ; b < ic; b++ {
-			xv := xe[b]
-			r0[b] += w0 * xv
-			r1[b] += w1 * xv
-			r2[b] += w2 * xv
-			r3[b] += w3 * xv
-		}
-	}
-	for ; a < oc; a++ {
-		wv := we[a]
-		if wv == 0 {
-			continue
-		}
-		row := ve[a*ic : a*ic+ic : a*ic+ic]
-		for b, xv := range xe {
-			row[b] += wv * xv
-		}
-	}
-}
-
-// ewmPanel8x8 is the 8×8 register block for the kernels whose cache block
-// sustains it: 64 FMAs per 16 loads, with the same wholesale zero skip on
-// all-zero row octets. Column remainder narrows to 4 then 1; row remainder
-// falls through to the 4×4 tail.
-func ewmPanel8x8(ve, we, xe []float32, oc, ic int) {
-	a := 0
-	for ; a+8 <= oc; a += 8 {
-		w0, w1, w2, w3 := we[a], we[a+1], we[a+2], we[a+3]
-		w4, w5, w6, w7 := we[a+4], we[a+5], we[a+6], we[a+7]
-		if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 &&
-			w4 == 0 && w5 == 0 && w6 == 0 && w7 == 0 {
-			continue
-		}
-		r0 := ve[(a+0)*ic : (a+0)*ic+ic : (a+0)*ic+ic]
-		r1 := ve[(a+1)*ic : (a+1)*ic+ic : (a+1)*ic+ic]
-		r2 := ve[(a+2)*ic : (a+2)*ic+ic : (a+2)*ic+ic]
-		r3 := ve[(a+3)*ic : (a+3)*ic+ic : (a+3)*ic+ic]
-		r4 := ve[(a+4)*ic : (a+4)*ic+ic : (a+4)*ic+ic]
-		r5 := ve[(a+5)*ic : (a+5)*ic+ic : (a+5)*ic+ic]
-		r6 := ve[(a+6)*ic : (a+6)*ic+ic : (a+6)*ic+ic]
-		r7 := ve[(a+7)*ic : (a+7)*ic+ic : (a+7)*ic+ic]
-		b := 0
-		for ; b+8 <= ic; b += 8 {
-			x0, x1, x2, x3 := xe[b], xe[b+1], xe[b+2], xe[b+3]
-			x4, x5, x6, x7 := xe[b+4], xe[b+5], xe[b+6], xe[b+7]
-			r0[b] += w0 * x0
-			r0[b+1] += w0 * x1
-			r0[b+2] += w0 * x2
-			r0[b+3] += w0 * x3
-			r0[b+4] += w0 * x4
-			r0[b+5] += w0 * x5
-			r0[b+6] += w0 * x6
-			r0[b+7] += w0 * x7
-			r1[b] += w1 * x0
-			r1[b+1] += w1 * x1
-			r1[b+2] += w1 * x2
-			r1[b+3] += w1 * x3
-			r1[b+4] += w1 * x4
-			r1[b+5] += w1 * x5
-			r1[b+6] += w1 * x6
-			r1[b+7] += w1 * x7
-			r2[b] += w2 * x0
-			r2[b+1] += w2 * x1
-			r2[b+2] += w2 * x2
-			r2[b+3] += w2 * x3
-			r2[b+4] += w2 * x4
-			r2[b+5] += w2 * x5
-			r2[b+6] += w2 * x6
-			r2[b+7] += w2 * x7
-			r3[b] += w3 * x0
-			r3[b+1] += w3 * x1
-			r3[b+2] += w3 * x2
-			r3[b+3] += w3 * x3
-			r3[b+4] += w3 * x4
-			r3[b+5] += w3 * x5
-			r3[b+6] += w3 * x6
-			r3[b+7] += w3 * x7
-			r4[b] += w4 * x0
-			r4[b+1] += w4 * x1
-			r4[b+2] += w4 * x2
-			r4[b+3] += w4 * x3
-			r4[b+4] += w4 * x4
-			r4[b+5] += w4 * x5
-			r4[b+6] += w4 * x6
-			r4[b+7] += w4 * x7
-			r5[b] += w5 * x0
-			r5[b+1] += w5 * x1
-			r5[b+2] += w5 * x2
-			r5[b+3] += w5 * x3
-			r5[b+4] += w5 * x4
-			r5[b+5] += w5 * x5
-			r5[b+6] += w5 * x6
-			r5[b+7] += w5 * x7
-			r6[b] += w6 * x0
-			r6[b+1] += w6 * x1
-			r6[b+2] += w6 * x2
-			r6[b+3] += w6 * x3
-			r6[b+4] += w6 * x4
-			r6[b+5] += w6 * x5
-			r6[b+6] += w6 * x6
-			r6[b+7] += w6 * x7
-			r7[b] += w7 * x0
-			r7[b+1] += w7 * x1
-			r7[b+2] += w7 * x2
-			r7[b+3] += w7 * x3
-			r7[b+4] += w7 * x4
-			r7[b+5] += w7 * x5
-			r7[b+6] += w7 * x6
-			r7[b+7] += w7 * x7
-		}
-		for ; b+4 <= ic; b += 4 {
-			x0, x1, x2, x3 := xe[b], xe[b+1], xe[b+2], xe[b+3]
-			r0[b] += w0 * x0
-			r0[b+1] += w0 * x1
-			r0[b+2] += w0 * x2
-			r0[b+3] += w0 * x3
-			r1[b] += w1 * x0
-			r1[b+1] += w1 * x1
-			r1[b+2] += w1 * x2
-			r1[b+3] += w1 * x3
-			r2[b] += w2 * x0
-			r2[b+1] += w2 * x1
-			r2[b+2] += w2 * x2
-			r2[b+3] += w2 * x3
-			r3[b] += w3 * x0
-			r3[b+1] += w3 * x1
-			r3[b+2] += w3 * x2
-			r3[b+3] += w3 * x3
-			r4[b] += w4 * x0
-			r4[b+1] += w4 * x1
-			r4[b+2] += w4 * x2
-			r4[b+3] += w4 * x3
-			r5[b] += w5 * x0
-			r5[b+1] += w5 * x1
-			r5[b+2] += w5 * x2
-			r5[b+3] += w5 * x3
-			r6[b] += w6 * x0
-			r6[b+1] += w6 * x1
-			r6[b+2] += w6 * x2
-			r6[b+3] += w6 * x3
-			r7[b] += w7 * x0
-			r7[b+1] += w7 * x1
-			r7[b+2] += w7 * x2
-			r7[b+3] += w7 * x3
-		}
-		for ; b < ic; b++ {
-			xv := xe[b]
-			r0[b] += w0 * xv
-			r1[b] += w1 * xv
-			r2[b] += w2 * xv
-			r3[b] += w3 * xv
-			r4[b] += w4 * xv
-			r5[b] += w5 * xv
-			r6[b] += w6 * xv
-			r7[b] += w7 * xv
-		}
-	}
-	if a < oc {
-		ewmPanelTail(ve, we, xe, a, oc, ic)
-	}
-}
-
-// matTMulRowF32 computes output row i of matTMulF32 alone: dst is zeroed,
-// then accumulated in the same ascending-k order with the same zero skip,
-// so the row's value is bit-identical to the full-panel evaluation (rows
-// of out = mᵀ·in are independent; only the per-row accumulation order
-// matters). This is the FP16 fused path's row-at-a-time input transform.
-func matTMulRowF32(m *winograd.Mat, in, dst []float32, i, rows, width int) {
-	if rows != m.Rows {
-		panic("core: matTMulRowF32 dimension mismatch")
-	}
-	for x := range dst {
-		dst[x] = 0
-	}
-	for k := 0; k < rows; k++ {
-		c := float32(m.At(k, i))
-		if c == 0 {
-			continue
-		}
-		src := in[k*width : (k+1)*width]
-		for x, sv := range src {
-			dst[x] += c * sv
-		}
-	}
+	return max
 }

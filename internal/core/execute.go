@@ -121,13 +121,13 @@ func (j *execJob) Run(lo, hi int) {
 		switch {
 		case j.half && j.resident:
 			what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
-			tileHalfResUnit(cfg.Params, seg, fh, jt, j.x16, ws.xDec, what, ws.buckets[si], j.traceOn)
+			denseTileUnit(cfg.Params, seg, fh, jt, j.x16.Shape, ws.xDec, what, ws.buckets[si], true, j.traceOn)
 		case j.half:
 			what := ws.what16[ws.whatOff[si]:ws.whatOff[si+1]]
 			tileHalfUnit(cfg.Params, seg, fh, jt, j.x16, what, ws.buckets[si], j.traceOn)
 		default:
 			what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
-			tile32Unit(cfg.Params, seg, fh, jt, j.x32, what, ws.buckets[si], j.traceOn)
+			denseTileUnit(cfg.Params, seg, fh, jt, j.x32.Shape, j.x32.Data, what, ws.buckets[si], false, j.traceOn)
 		}
 	}
 }
@@ -278,22 +278,22 @@ func fillRowHalfRes(p conv.Params, seg Segment, oh int, dy *tensor.Half,
 // reports. Power of two so the sample test is a mask.
 const traceSampleEvery = 8
 
-// tile32Unit runs one FP32 fused unit, recording its stage durations when
-// traceOn. A top-level function (not a closure) so the trace scratch stays
-// on the stack and the disabled path is branch-only.
-func tile32Unit(p conv.Params, seg Segment, fh, j int, x *tensor.Float32,
-	what []float32, bucket []float32, traceOn bool) {
+// denseTileUnit runs one dense unit (see denseUnit), recording its stage
+// durations when traceOn. A top-level function (not a closure) so the
+// trace scratch stays on the stack and the disabled path is branch-only.
+func denseTileUnit(p conv.Params, seg Segment, fh, j int, xs tensor.Shape, x []float32,
+	what, bucket []float32, half, traceOn bool) {
 	if !traceOn {
-		segmentTile32(p, seg, fh, j, x, what, bucket, nil)
+		denseUnit(p, seg, fh, j, xs, x, what, bucket, half, nil)
 		return
 	}
 	var ut obs.UnitTimes
 	t0 := time.Now()
-	segmentTile32(p, seg, fh, j, x, what, bucket, &ut)
+	denseUnit(p, seg, fh, j, xs, x, what, bucket, half, &ut)
 	obs.RecordUnit(time.Since(t0), ut)
 }
 
-// tileHalfUnit is tile32Unit for the legacy (codec-per-unit) FP16 path.
+// tileHalfUnit is denseTileUnit for the legacy (codec-per-unit) FP16 path.
 func tileHalfUnit(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
 	what []fp16.Bits, bucket []float32, traceOn bool) {
 	if !traceOn {
@@ -303,19 +303,6 @@ func tileHalfUnit(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
 	var ut obs.UnitTimes
 	t0 := time.Now()
 	segmentTileHalf(p, seg, fh, j, x, what, bucket, &ut)
-	obs.RecordUnit(time.Since(t0), ut)
-}
-
-// tileHalfResUnit is tile32Unit for the decoded-operand FP16 path.
-func tileHalfResUnit(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
-	xDec []float32, what []float32, bucket []float32, traceOn bool) {
-	if !traceOn {
-		segmentTileHalfRes(p, seg, fh, j, x, xDec, what, bucket, nil)
-		return
-	}
-	var ut obs.UnitTimes
-	t0 := time.Now()
-	segmentTileHalfRes(p, seg, fh, j, x, xDec, what, bucket, &ut)
 	obs.RecordUnit(time.Since(t0), ut)
 }
 
@@ -368,117 +355,8 @@ func (u *unitSampler) flush(ut *obs.UnitTimes) {
 	ut.EWM += time.Duration(int64(u.ewm)*scale + int64(u.ewm)*rem/int64(u.samples))
 }
 
-// segmentTile32 executes the fused FP32 kernel for one (segment, f_h,
-// width-tile) unit: it produces the ∇W rows [j·n, (j+1)·n) at height f_h
-// for all (oc, ic), accumulating the EWM over the segment's rows, units and
-// the batch.
-//
-// The gathered + filter-transformed ∇Y panels (Ŵ, α·O_C each) come from
-// the workspace cache filled by the pre-pass — they depend only on
-// (oh, ow0, nb), so one fill amortizes across all F_H·(F_W/n) units of the
-// segment instead of being recomputed per unit. Per inner iteration the
-// remaining fused stages appear in order: X gather + input transform
-// X̂ = Dᵀ·X, the register-blocked α-batched outer-product "GEMM", and (per
-// unit) the final output transform.
-//
-// ut, when non-nil, accumulates sampled, scaled intra-unit transform and
-// EWM durations for the observability layer; the nil path adds only
-// predictable never-taken branches.
-func segmentTile32(p conv.Params, seg Segment, fh, j int, x *tensor.Float32,
-	what []float32, bucket []float32, ut *obs.UnitTimes) {
-	k := seg.K
-	// Balanced transforms keep FP32 cancellation in the paper's accuracy
-	// band for the α = 16 kernels; the symmetric panel plans implement the
-	// Figure 8 transform simplification (shared ± products).
-	tr := k.Transform().Balanced()
-	_, dtPlan := tr.PanelPlans()
-	n, r, alpha := tr.N, tr.R, tr.Alpha
-	oc, ic := p.OC, p.IC
-	sel := selectEWM(k, false, oc, ic)
-
-	s := getTileScratch()
-	defer putTileScratch(s)
-	// Accumulators v[α][OC][IC] (the register tile of Algorithm 3).
-	v := growF32Zero(&s.v, alpha*oc*ic)
-	xRaw := growF32(&s.xRaw, alpha*ic)  // gathered X tile, [α][IC]
-	xHat := growF32(&s.xHatF, alpha*ic) // Dᵀ·X, [α][IC]
-	colBase := j * n
-	entry := alpha * oc
-	tiles := seg.Cols() / r
-
-	var smp unitSampler
-	var wHat []float32
-	// emit multiplies each X̂ row into the accumulators the moment the
-	// input transform finalizes it — the fused transform+EWM mode, which
-	// consumes rows while they are still cache-hot instead of storing the
-	// whole panel and reloading it. Each v element still receives exactly
-	// one fused add per e, so fusion is bit-identical to the unfused order.
-	// MulPanelEmit never retains the closure, so it stays on the stack.
-	emit := func(u, w int) {
-		sel.panel(v[u*oc*ic:(u+1)*oc*ic], wHat[u*oc:(u+1)*oc], xHat[u*ic:(u+1)*ic], oc, ic)
-		if w >= 0 {
-			sel.panel(v[w*oc*ic:(w+1)*oc*ic], wHat[w*oc:(w+1)*oc], xHat[w*ic:(w+1)*ic], oc, ic)
-		}
-	}
-	if !sel.fused {
-		emit = nil
-	}
-	for oh := seg.Row0; oh < seg.Row1; oh++ {
-		ih := oh + fh - p.PH
-		if ih < 0 || ih >= p.IH {
-			continue // height-axis clipping (Figure 7)
-		}
-		rowBase := (oh - seg.Row0) * tiles
-		for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
-			for nb := 0; nb < p.N; nb++ {
-				smp.begin(ut)
-				// Cached Ŵ panel (filled once per (oh, ow0, nb)).
-				wHat = what[((rowBase+t)*p.N+nb)*entry:]
-				wHat = wHat[:entry]
-				// X source: an interior tile is one contiguous [α][I_C]
-				// block in the (N,H,W,C) layout and feeds the transform
-				// in place; only width-clipped tiles gather through xRaw
-				// (with implicit zero padding).
-				iw0 := ow0 + colBase - p.PW
-				xSrc := xRaw
-				if iw0 >= 0 && iw0+alpha <= p.IW {
-					base := x.Shape.Index(nb, ih, iw0, 0)
-					xSrc = x.Data[base : base+alpha*ic]
-				} else {
-					for u := 0; u < alpha; u++ {
-						iw := iw0 + u
-						dst := xRaw[u*ic : (u+1)*ic]
-						if iw < 0 || iw >= p.IW {
-							for i := range dst {
-								dst[i] = 0
-							}
-							continue
-						}
-						base := x.Shape.Index(nb, ih, iw, 0)
-						copy(dst, x.Data[base:base+ic])
-					}
-				}
-				if emit != nil {
-					// Fused: the transform span folds into the EWM share
-					// (StageShares stays informational).
-					smp.mark()
-					dtPlan.MulPanelEmit(xSrc, xHat, alpha, ic, emit)
-				} else {
-					dtPlan.MulPanel(xSrc, xHat, alpha, ic)
-					smp.mark()
-					ewmPanelsSel(sel.panel, v, wHat, xHat, alpha, oc, ic)
-				}
-				smp.end()
-			}
-		}
-	}
-	smp.flush(ut)
-
-	// Output transform: y = Aᵀ·v[:, oc, ic], written into the bucket.
-	writeOutput(p, tr.A, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
-}
-
-// segmentTileHalf is the FP16 variant of segmentTile32 (see ExecuteHalf):
+// segmentTileHalf is the legacy codec-per-unit FP16 unit (see ExecuteHalf
+// and fp16Resident), run as per-tile rank-1 updates with the base panel:
 // the cached Ŵ panels are binary16 and decoded to FP32 per use (binary16
 // → FP32 is exact, so products match the pre-restructuring path bit for
 // bit), X̂ is transformed in FP32, rounded to binary16 and decoded back —
@@ -534,87 +412,6 @@ func segmentTileHalf(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
 				fp16.RoundSlice(xHat)
 				smp.mark()
 				ewmPanels(v, wDec, xHat, alpha, oc, ic)
-				smp.end()
-			}
-		}
-	}
-	smp.flush(ut)
-	writeOutput(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
-}
-
-// segmentTileHalfRes is the decoded-operand FP16 unit of the kernel tier:
-// the Ŵ cache is float32-resident (binary16-rounded values stored already
-// decoded, see fillRowHalfRes) and X reads from the bulk-decoded xDec
-// mirror, so the per-unit codec work shrinks to the one mandatory X̂ "SMEM
-// storage" rounding. Operand values are bit-identical to the codec path:
-// binary16 → float32 decoding is exact, and every resident store rounded
-// through binary16 on the way in. The fused mode transforms, rounds and
-// multiplies one X̂ row at a time — matTMulRowF32 reproduces the panel
-// transform's per-row ascending-k accumulation exactly, and rounding is
-// element-wise, so the row-at-a-time order changes no bits either.
-func segmentTileHalfRes(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
-	xDec []float32, what []float32, bucket []float32, ut *obs.UnitTimes) {
-	k := seg.K
-	tr := k.Transform()
-	_, dMat, aMat := halfMats(tr)
-	n, r, alpha := tr.N, tr.R, tr.Alpha
-	oc, ic := p.OC, p.IC
-	sel := selectEWM(k, true, oc, ic)
-
-	s := getTileScratch()
-	defer putTileScratch(s)
-	v := growF32Zero(&s.v, alpha*oc*ic)
-	xRaw := growF32(&s.xRaw, alpha*ic)
-	xHat := growF32(&s.xHatF, alpha*ic)
-	colBase := j * n
-	entry := alpha * oc
-	tiles := seg.Cols() / r
-
-	var smp unitSampler
-	for oh := seg.Row0; oh < seg.Row1; oh++ {
-		ih := oh + fh - p.PH
-		if ih < 0 || ih >= p.IH {
-			continue
-		}
-		rowBase := (oh - seg.Row0) * tiles
-		for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
-			for nb := 0; nb < p.N; nb++ {
-				smp.begin(ut)
-				wHat := what[((rowBase+t)*p.N+nb)*entry:]
-				wHat = wHat[:entry]
-				iw0 := ow0 + colBase - p.PW
-				xSrc := xRaw
-				if iw0 >= 0 && iw0+alpha <= p.IW {
-					base := x.Shape.Index(nb, ih, iw0, 0)
-					xSrc = xDec[base : base+alpha*ic]
-				} else {
-					for u := 0; u < alpha; u++ {
-						iw := iw0 + u
-						dst := xRaw[u*ic : (u+1)*ic]
-						if iw < 0 || iw >= p.IW {
-							for i := range dst {
-								dst[i] = 0
-							}
-							continue
-						}
-						base := x.Shape.Index(nb, ih, iw, 0)
-						copy(dst, xDec[base:base+ic])
-					}
-				}
-				if sel.fused {
-					smp.mark()
-					for e := 0; e < alpha; e++ {
-						row := xHat[e*ic : (e+1)*ic]
-						matTMulRowF32(dMat, xSrc, row, e, alpha, ic)
-						fp16.RoundSlice(row)
-						sel.panel(v[e*oc*ic:(e+1)*oc*ic], wHat[e*oc:(e+1)*oc], row, oc, ic)
-					}
-				} else {
-					matTMulF32(dMat, xSrc, xHat, alpha, ic)
-					fp16.RoundSlice(xHat)
-					smp.mark()
-					ewmPanelsSel(sel.panel, v, wHat, xHat, alpha, oc, ic)
-				}
 				smp.end()
 			}
 		}

@@ -314,13 +314,13 @@ func (j *groupJob) execUnit(u int, slot *groupSlot) {
 	switch {
 	case j.half && j.resident:
 		what := slot.what32[ws.whatOff[si]:ws.whatOff[si+1]]
-		tileHalfResUnit(cfg.Params, seg, fh, jt, &slot.xTH, slot.xDec, what, slot.buckets[si], j.traceOn)
+		denseTileUnit(cfg.Params, seg, fh, jt, slot.xTH.Shape, slot.xDec, what, slot.buckets[si], true, j.traceOn)
 	case j.half:
 		what := slot.what16[ws.whatOff[si]:ws.whatOff[si+1]]
 		tileHalfUnit(cfg.Params, seg, fh, jt, &slot.xTH, what, slot.buckets[si], j.traceOn)
 	default:
 		what := slot.what32[ws.whatOff[si]:ws.whatOff[si+1]]
-		tile32Unit(cfg.Params, seg, fh, jt, &slot.xT, what, slot.buckets[si], j.traceOn)
+		denseTileUnit(cfg.Params, seg, fh, jt, slot.xT.Shape, slot.xT.Data, what, slot.buckets[si], false, j.traceOn)
 	}
 }
 

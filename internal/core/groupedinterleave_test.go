@@ -87,9 +87,9 @@ func TestGroupedInterleavedMatchesSequential(t *testing.T) {
 	}
 }
 
-// Kernel-tier forcing does not reach I_C/G == 1 plans: they run the channel
-// pass, so every WINRS_EWM_KERNEL value must keep reporting "channel" and
-// produce bit-identical gradients, inline and pooled.
+// I_C/G == 1 plans run the channel pass, so under every retired
+// WINRS_EWM_KERNEL value they must keep reporting "channel" and produce
+// bit-identical gradients, inline and pooled.
 func TestDepthwiseEWMKernelSweep(t *testing.T) {
 	shapes := []conv.Params{
 		{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8},
@@ -121,7 +121,6 @@ func TestDepthwiseEWMKernelSweep(t *testing.T) {
 					}
 					equalBits(t, m, got.Data, base.Data)
 				}
-				forceEWM(t, ewmAuto)
 			}
 		})
 	}

@@ -249,9 +249,9 @@ func fillWHat(ws *Workspace, traceOn bool, cancel *sched.Batch) {
 // sched pool through tasks embedded in the workspace.
 //
 // When obs.TraceEnabled, the pre-pass records the what_transform stage,
-// every fused unit records segment-tile plus sampled transform and EWM
-// durations, and the reduction records the reduce stage; the disabled path
-// costs one atomic load per call.
+// every unit records segment-tile plus its transform, EWM and (dense
+// units) output-transform spans, and the reduction records the reduce
+// stage; the disabled path costs one atomic load per call.
 func ExecuteIn(cfg *Config, ws *Workspace, x, dy, dst *tensor.Float32) *tensor.Float32 {
 	out, _ := executeIn(cfg, ws, x, dy, dst, nil)
 	return out
@@ -362,6 +362,7 @@ func reduceTraced(cfg *Config, buckets [][]float32, dst *tensor.Float32, traceOn
 // grow to the largest geometry seen and are then reused as-is.
 type tileScratch struct {
 	v, wRaw, wHatF, xRaw, xHatF, acc []float32
+	xPack, wPack, dPanel             []float32     // dense-unit GEMM panels
 	ks                               []kahan.Sum32 // channel-pass ∇W combine
 	xcRow                            []int         // channel-pass X̂ row-cache tags
 }

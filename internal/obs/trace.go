@@ -30,6 +30,10 @@ const (
 	StageWHat
 	// StageReduce is the Kahan bucket reduction of one execution.
 	StageReduce
+	// StageOutput covers a dense unit's output transform Aᵀ into its
+	// bucket. Dense units record transform, EWM and output as three
+	// exclusive spans of the unit.
+	StageOutput
 	// StageGroupGather is one grouped-execution channel gather: slicing a
 	// group's I_C/G input or O_C/G ∇Y channels into its staging slab. Under
 	// the interleaved group dispatch each gather is a pool unit recorded
@@ -41,7 +45,7 @@ const (
 	NumStages
 )
 
-var stageNames = [NumStages]string{"segment_tile", "transform", "ewm", "what_transform", "reduce", "group_gather"}
+var stageNames = [NumStages]string{"segment_tile", "transform", "ewm", "what_transform", "reduce", "output_transform", "group_gather"}
 
 func (s Stage) String() string {
 	if int(s) < len(stageNames) {
@@ -67,6 +71,7 @@ func TraceEnabled() bool { return traceEnabled.Load() }
 type UnitTimes struct {
 	Transform time.Duration
 	EWM       time.Duration
+	Output    time.Duration
 }
 
 // stageRec is the lock-free accumulator of one stage.
@@ -87,11 +92,15 @@ func RecordStage(s Stage, d time.Duration) {
 }
 
 // RecordUnit records one fused work unit: its total duration plus the
-// intra-unit transform and EWM shares.
+// intra-unit transform and EWM shares, and the output-transform share of
+// units that time it.
 func RecordUnit(total time.Duration, ut UnitTimes) {
 	RecordStage(StageSegmentTile, total)
 	RecordStage(StageTransform, ut.Transform)
 	RecordStage(StageEWM, ut.EWM)
+	if ut.Output > 0 {
+		RecordStage(StageOutput, ut.Output)
+	}
 }
 
 // ResetTrace zeroes all stage accumulators (bench isolation). Concurrent

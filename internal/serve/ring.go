@@ -46,13 +46,22 @@ func NewRing(replicas int) *Ring {
 	return &Ring{replicas: replicas, nodes: make(map[string]*NodeState)}
 }
 
-// hash64 is FNV-1a over s.
+// hash64 is FNV-1a over s, finished with the murmur3 64-bit finalizer.
+// Bare FNV-1a barely moves its high bits when only the last bytes differ,
+// so the virtual points "addr#0" … "addr#63" of one node landed in a few
+// tight clumps and two nodes could split the key space very unevenly; the
+// finalizer spreads every input bit over the whole word.
 func hash64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 

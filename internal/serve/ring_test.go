@@ -61,6 +61,28 @@ func TestRingSpreadsLoad(t *testing.T) {
 	}
 }
 
+// Two nodes named like real shards — URLs that differ only in their last
+// few characters — must each own a fair share of the key space. With bare
+// FNV-1a their virtual points clumped, and pairs of ephemeral test ports
+// regularly split the space far from evenly.
+func TestRingSpreadsURLNamedNodes(t *testing.T) {
+	ks := keys(2000)
+	for port := 40000; port < 40040; port++ {
+		a := fmt.Sprintf("http://127.0.0.1:%d", port)
+		b := fmt.Sprintf("http://127.0.0.1:%d", port+1)
+		r := ringWith(a, b)
+		owned := 0
+		for _, k := range ks {
+			if n, _ := r.Pick(k); n == a {
+				owned++
+			}
+		}
+		if frac := float64(owned) / float64(len(ks)); frac < 0.3 || frac > 0.7 {
+			t.Errorf("%s owns %.0f%% of keys against %s; want 30–70%%", a, frac*100, b)
+		}
+	}
+}
+
 // TestRingRemovalRemapsOnlyOwnedKeys is the consistent-hashing property
 // itself: dropping one node must not move any key that it did not own.
 func TestRingRemovalRemapsOnlyOwnedKeys(t *testing.T) {

@@ -27,12 +27,25 @@ type routerFixture struct {
 	router *serve.Router
 	front  *httptest.Server
 	nodes  []*httptest.Server
+	ids    []string // node i's ring name, "http://shard-<i>"
+}
+
+// shardHosts routes a fixture's fixed ring names to its nodes' ephemeral
+// listeners, so ring positions — and which geometries share a shard — do
+// not depend on the ports the test happened to get.
+type shardHosts map[string]string
+
+func (h shardHosts) RoundTrip(req *http.Request) (*http.Response, error) {
+	r := req.Clone(req.Context())
+	r.URL.Host = h[req.URL.Host]
+	r.Host = ""
+	return http.DefaultTransport.RoundTrip(r)
 }
 
 func newRouterFixture(t *testing.T, nodeCount int) *routerFixture {
 	t.Helper()
 	f := &routerFixture{}
-	var urls []string
+	hosts := shardHosts{}
 	for i := 0; i < nodeCount; i++ {
 		s := serve.NewServer(serve.Config{Workers: 2, QueueDepth: 64})
 		ts := httptest.NewServer(s.Handler())
@@ -40,10 +53,13 @@ func newRouterFixture(t *testing.T, nodeCount int) *routerFixture {
 			ts.Close()
 			s.Close()
 		})
+		name := fmt.Sprintf("shard-%d", i)
+		hosts[name] = strings.TrimPrefix(ts.URL, "http://")
 		f.nodes = append(f.nodes, ts)
-		urls = append(urls, ts.URL)
+		f.ids = append(f.ids, "http://"+name)
 	}
-	f.router = serve.NewRouter(serve.RouterConfig{Nodes: urls})
+	f.router = serve.NewRouter(serve.RouterConfig{Nodes: f.ids})
+	serve.SetRouterTransport(f.router, hosts)
 	f.front = httptest.NewServer(f.router.Handler())
 	t.Cleanup(f.front.Close)
 	return f
@@ -150,7 +166,7 @@ func TestRouterShardStickiness(t *testing.T) {
 // re-add must restore it.
 func TestRouterAdminAddDrain(t *testing.T) {
 	f := newRouterFixture(t, 2)
-	drained := f.nodes[0].URL
+	drained := f.ids[0]
 
 	resp, err := http.Post(f.front.URL+"/admin/nodes/drain?node="+drained+"&timeout=5s", "", nil)
 	if err != nil {

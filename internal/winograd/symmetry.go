@@ -119,6 +119,32 @@ func (sp *SymPlan) MulVec32(x []float32) []float32 {
 	return y
 }
 
+// ChainPanel lays MulPanel's accumulation chains out as a GEMM
+// coefficient panel over the input rows: dst[c*ldw+i] is the coefficient
+// MulPanel's chain for output row i applies to input row c, so summing
+// dst[c*ldw+i]·in[c] in ascending c from zero reproduces every chain. For
+// a symmetric pair (u, v), chain u takes row u's even columns and chain v
+// its odd columns, zero elsewhere; a single row is its own chain.
+// Coefficients MulPanel skips as zero stay zero, so a GEMM adds ±0 there,
+// which leaves a finite sum unchanged. Columns ldw > m.Rows are zeroed.
+// It returns the pairs, which finish as (u, v) ← (u + v, u − v); callers
+// must not modify them.
+func (sp *SymPlan) ChainPanel(dst []float32, ldw int) [][2]int {
+	m := sp.m
+	clear(dst[:m.Cols*ldw])
+	for _, pr := range sp.pairs {
+		for c := 0; c < m.Cols; c++ {
+			dst[c*ldw+pr[c%2]] = float32(m.At(pr[0], c))
+		}
+	}
+	for _, i := range sp.singles {
+		for c := 0; c < m.Cols; c++ {
+			dst[c*ldw+i] = float32(m.At(i, c))
+		}
+	}
+	return sp.pairs
+}
+
 // SavingsRatio returns multiplications used / plain multiplications — the
 // paper's "nearly halves" metric (→ ~0.5 + 1/(2·pairs) as pairs dominate).
 func (sp *SymPlan) SavingsRatio() float64 {
@@ -158,23 +184,11 @@ func MaxPairableRows(alpha int) int {
 
 // MulPanel computes out = m·in for a panel in laid out [m.Cols][width] and
 // out [m.Rows][width], sharing even/odd products across symmetric row
-// pairs — the panel form of the Figure 8 optimization used by the fused
-// kernels' filter and input transforms.
+// pairs — the panel form of the Figure 8 optimization used by the
+// kernels' filter and input transforms. Per row: shared even/odd product
+// accumulation in ascending column order, zero coefficients skipped, then
+// the ±combine.
 func (sp *SymPlan) MulPanel(in, out []float32, rows, width int) {
-	sp.MulPanelEmit(in, out, rows, width, nil)
-}
-
-// MulPanelEmit is MulPanel with a row-consumption callback: emit(u, v) runs
-// right after the two rows of a symmetric pair are finalized, and emit(i, -1)
-// after each single row. The per-row arithmetic — shared even/odd product
-// accumulation in ascending column order, zero coefficients skipped, then the
-// ±combine — is exactly MulPanel's, so consumers that fold further work into
-// the emission (the fused transform+EWM kernel tier) stay bit-identical to
-// the transform-then-consume path. A nil emit degrades to MulPanel.
-//
-// Row emission order is plan order (pairs first, then singles), not row
-// order; callers must only depend on each row being complete when emitted.
-func (sp *SymPlan) MulPanelEmit(in, out []float32, rows, width int, emit func(u, v int)) {
 	m := sp.m
 	if rows != m.Cols {
 		panic("winograd: MulPanel dimension mismatch")
@@ -230,9 +244,6 @@ func (sp *SymPlan) MulPanelEmit(in, out []float32, rows, width int, emit func(u,
 			dstU[x] = even + odd
 			dstV[x] = even - odd
 		}
-		if emit != nil {
-			emit(pr[0], pr[1])
-		}
 	}
 	for _, i := range sp.singles {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
@@ -272,9 +283,6 @@ func (sp *SymPlan) MulPanelEmit(in, out []float32, rows, width int, emit func(u,
 					dst[x] += cv * sv
 				}
 			}
-		}
-		if emit != nil {
-			emit(i, -1)
 		}
 	}
 }

@@ -194,57 +194,53 @@ func TestMulPanelDimensionPanics(t *testing.T) {
 	sp.MulPanel(make([]float32, 8), make([]float32, 8), 2, 4)
 }
 
-// MulPanelEmit is the fusion seam of the kernel tier: the emission must
-// visit every output row exactly once, each emitted row must already hold
-// its final bits (so work folded into the callback sees exactly what a
-// transform-then-consume pass would read), and the emitting run must leave
-// the same output as MulPanel bit for bit.
-func TestMulPanelEmitRowsFinalAndComplete(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	const width = 4
+// ChainPanel must reproduce MulPanel bit for bit when its chains are
+// summed over ascending input rows from zero and the pairs are combined —
+// the form in which GEMM kernels evaluate the transform.
+func TestChainPanelMatchesMulPanel(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	const width = 5
 	for _, k := range Kernels {
 		tr := Generate(k.N, k.R).Balanced()
 		gPlan, dtPlan := tr.PanelPlans()
-		for _, tc := range []struct {
-			plan *SymPlan
-			rows int
-		}{
-			{gPlan, tr.R},
-			{dtPlan, tr.Alpha},
-		} {
-			in := make([]float32, tc.rows*width)
+		for _, plan := range []*SymPlan{gPlan, dtPlan} {
+			rows, outRows := plan.m.Cols, plan.m.Rows
+			in := make([]float32, rows*width)
 			for i := range in {
 				in[i] = rng.Float32()*2 - 1
 			}
-			outRows := tc.plan.m.Rows
 			want := make([]float32, outRows*width)
-			tc.plan.MulPanel(in, want, tc.rows, width)
+			plan.MulPanel(in, want, rows, width)
 
-			got := make([]float32, len(want))
-			seen := make([]int, outRows)
-			check := func(r int) {
-				seen[r]++
+			ldw := outRows + 3
+			panel := make([]float32, rows*ldw)
+			pairs := plan.ChainPanel(panel, ldw)
+			got := make([]float32, outRows*width)
+			for i := 0; i < outRows; i++ {
 				for x := 0; x < width; x++ {
-					if got[r*width+x] != want[r*width+x] {
-						t.Fatalf("%v: row %d not final at emission: col %d %v vs %v",
-							k, r, x, got[r*width+x], want[r*width+x])
+					var s float32
+					for c := 0; c < rows; c++ {
+						s += panel[c*ldw+i] * in[c*width+x]
 					}
+					got[i*width+x] = s
 				}
 			}
-			tc.plan.MulPanelEmit(in, got, tc.rows, width, func(u, v int) {
-				check(u)
-				if v >= 0 {
-					check(v)
-				}
-			})
-			for r, n := range seen {
-				if n != 1 {
-					t.Errorf("%v: row %d emitted %d times, want exactly once", k, r, n)
+			for _, pr := range pairs {
+				for x := 0; x < width; x++ {
+					even, odd := got[pr[0]*width+x], got[pr[1]*width+x]
+					got[pr[0]*width+x], got[pr[1]*width+x] = even+odd, even-odd
 				}
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%v: emitting run differs from MulPanel at %d", k, i)
+					t.Fatalf("%v: element %d = %v, MulPanel %v", k, i, got[i], want[i])
+				}
+			}
+			for c := 0; c < rows; c++ {
+				for i := outRows; i < ldw; i++ {
+					if panel[c*ldw+i] != 0 {
+						t.Fatalf("%v: padding column %d of row %d = %v", k, i, c, panel[c*ldw+i])
+					}
 				}
 			}
 		}
