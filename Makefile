@@ -82,25 +82,21 @@ saturate:
 	WINRS_LOADTEST_BENCH=$(SATURATE_OUT) $(GO) test -tags loadtest -count 1 -timeout 600s -v ./internal/loadtest
 
 # grouped-smoke runs the grouped/depthwise differential suites under the
-# race detector across the dispatch × parallelism matrix: both group
-# dispatch modes (WINRS_GROUP_DISPATCH seq and interleaved) at GOMAXPROCS
-# 1 and 4. Every grouped path (FP32, FP16, strided, forward, data
-# gradient, serve round-trip, mid-interleave cancellation) is pinned
-# against the grouped float64 direct oracle and the sequential baseline,
-# plus the depthwise planned-path and workspace-shrinkage acceptance
-# checks. The channel-pass pin suite (TestChannelPass*) runs in the same
-# matrix, so the I_C/G == 1 pass is pinned bit-identical to the per-group
-# pipeline under both dispatch modes. The in-test width-{1,4} pools cover
-# pool shape; the GOMAXPROCS legs cover the unforced default pool the
-# serve tests run on.
+# race detector at GOMAXPROCS 1 and 4. Every grouped path (FP32, FP16,
+# strided, forward, data gradient, serve round-trip, mid-interleave
+# cancellation) is pinned against the grouped float64 direct oracle and
+# the sequential per-group oracle (executeGroupedRef), plus the depthwise
+# planned-path and workspace-shrinkage acceptance checks. The channel-pass
+# pin suite (TestChannelPass*) runs in the same legs, so the I_C/G == 1
+# pass is pinned bit-identical to the per-group pipeline. The in-test
+# width-{1,4} pools cover pool shape; the GOMAXPROCS legs cover the
+# unforced default pool the serve tests run on.
 grouped-smoke:
-	@for disp in seq interleaved; do \
-		for procs in 1 4; do \
-			echo "grouped-smoke: WINRS_GROUP_DISPATCH=$$disp GOMAXPROCS=$$procs"; \
-			WINRS_GROUP_DISPATCH=$$disp GOMAXPROCS=$$procs \
-				$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestChannelPass|TestFaultGroupedCancel' \
-				./internal/conv ./internal/core ./internal/serve || exit 1; \
-		done; \
+	@for procs in 1 4; do \
+		echo "grouped-smoke: GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs \
+			$(GO) test -race -count 1 -run 'TestGrouped|TestDepthwise|TestChannelPass|TestFaultGroupedCancel' \
+			./internal/conv ./internal/core ./internal/serve || exit 1; \
 	done
 
 # fuzz-smoke runs every fuzz target from its seed corpus for FUZZTIME

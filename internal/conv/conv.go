@@ -16,6 +16,7 @@ package conv
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -61,7 +62,9 @@ func (p Params) OH() int { return p.IH + 2*p.PH - p.FH + 1 }
 // OW returns the output-gradient width O_W = I_W + 2·p_W − F_W + 1.
 func (p Params) OW() int { return p.IW + 2*p.PW - p.FW + 1 }
 
-// Validate checks the geometry for consistency.
+// Validate checks the geometry for consistency, and that every operand's
+// element count and their combined FP32 byte size fit in an int, so shape
+// arithmetic taken from the wire cannot wrap.
 func (p Params) Validate() error {
 	switch {
 	case p.N < 1 || p.IC < 1 || p.OC < 1:
@@ -70,6 +73,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("conv: non-positive spatial extents in %+v", p)
 	case p.PH < 0 || p.PW < 0:
 		return fmt.Errorf("conv: negative padding in %+v", p)
+	case p.PH > (math.MaxInt-p.IH)/2 || p.PW > (math.MaxInt-p.IW)/2:
+		return fmt.Errorf("conv: padded extent overflows in %+v", p)
 	case p.OH() < 1 || p.OW() < 1:
 		return fmt.Errorf("conv: empty output %dx%d in %+v", p.OH(), p.OW(), p)
 	case p.Groups < 0:
@@ -77,8 +82,40 @@ func (p Params) Validate() error {
 	case p.IC%p.G() != 0 || p.OC%p.G() != 0:
 		return fmt.Errorf("conv: groups %d must divide IC %d and OC %d",
 			p.G(), p.IC, p.OC)
+	case !p.sizesFit():
+		return fmt.Errorf("conv: operand sizes overflow in %+v", p)
 	}
 	return nil
+}
+
+// sizesFit reports whether the element counts of X, ∇Y and ∇W, and their
+// combined FP32 byte size, are representable without overflow.
+func (p Params) sizesFit() bool {
+	total := 0
+	for _, s := range [...]tensor.Shape{p.XShape(), p.DYShape(), p.DWShape()} {
+		n, ok := 1, true
+		for _, d := range [...]int{s.N, s.H, s.W, s.C} {
+			n, ok = mulFits(n, d)
+			if !ok {
+				return false
+			}
+		}
+		if total > math.MaxInt-n {
+			return false
+		}
+		total += n
+	}
+	_, ok := mulFits(total, 4)
+	return ok
+}
+
+// mulFits returns a·b for non-negative a and b, and whether the product
+// fits in an int.
+func mulFits(a, b int) (int, bool) {
+	if a != 0 && b > math.MaxInt/a {
+		return 0, false
+	}
+	return a * b, true
 }
 
 // XShape returns the input feature-map shape N×I_H×I_W×I_C.

@@ -63,6 +63,12 @@ func TestValidateRejections(t *testing.T) {
 		{N: 1, IH: 4, IW: 4, FH: 3, FW: 3, IC: 1, OC: 1, PH: -1},
 		{N: 1, IH: 2, IW: 2, FH: 5, FW: 5, IC: 1, OC: 1}, // empty output
 		{N: 0, IH: 4, IW: 4, FH: 3, FW: 3, IC: 1, OC: 1},
+		// X and ∇Y hold 2^64 elements each, which wraps Shape.Elems to 0.
+		{N: 1 << 16, IH: 1 << 16, IW: 1 << 16, FH: 1, FW: 1, IC: 1 << 16, OC: 1 << 16},
+		// Each operand fits; their combined FP32 byte size does not.
+		{N: 1, IH: 1 << 30, IW: 1 << 30, FH: 1, FW: 1, IC: 2, OC: 2},
+		// I_H + 2·p_H wraps to a positive O_H = 4.
+		{N: 1, IH: 8, IW: 8, FH: 3, FW: 3, IC: 1, OC: 1, PH: math.MaxInt},
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {

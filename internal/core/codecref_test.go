@@ -16,8 +16,9 @@ import (
 // bit-identical gradients to ExecuteHalf on every differential-sweep
 // shape, inline and through the pool.
 
-// fillRowHalfScalar is fillRowHalf with the per-element scalar codec (the
-// original implementation, kept verbatim as the oracle).
+// fillRowHalfScalar is the FP16 Ŵ-cache fill with the per-element scalar
+// codec and a binary16 cache (the original implementation, kept verbatim
+// as the oracle of fillRowHalfRes).
 func fillRowHalfScalar(p conv.Params, seg Segment, oh int, dy *tensor.Half,
 	s *tileScratch, what []fp16.Bits) {
 	tr := seg.K.Transform()
@@ -47,9 +48,10 @@ func fillRowHalfScalar(p conv.Params, seg Segment, oh int, dy *tensor.Half,
 	}
 }
 
-// segmentTileHalfScalar is segmentTileHalf with the per-element scalar
-// codec: scalar Ŵ decode, scalar X gather decode, scalar encode→decode
-// pair for the SMEM rounding.
+// segmentTileHalfScalar is the FP16 unit as the original codec-per-unit
+// path ran it, with the per-element scalar codec: scalar Ŵ decode, scalar
+// X gather decode, scalar encode→decode pair for the SMEM rounding, and
+// per-tile rank-1 updates with the base panel.
 func segmentTileHalfScalar(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
 	what []fp16.Bits, bucket []float32) {
 	k := seg.K
@@ -106,23 +108,29 @@ func segmentTileHalfScalar(p conv.Params, seg Segment, fh, j int, x *tensor.Half
 	writeOutput(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
 }
 
+// whatCacheScalar fills an ungrouped FP16 plan's binary16 Ŵ cache
+// serially with the scalar codec, laid out like the workspace's cache.
+func whatCacheScalar(cfg *Config, dy *tensor.Half) []fp16.Bits {
+	ws := NewWorkspace(cfg)
+	what := make([]fp16.Bits, ws.whatOff[len(ws.whatOff)-1])
+	s := getTileScratch()
+	for si, seg := range cfg.Segments {
+		for oh := seg.Row0; oh < seg.Row1; oh++ {
+			fillRowHalfScalar(cfg.Params, seg, oh, dy, s, what[ws.whatOff[si]:ws.whatOff[si+1]])
+		}
+	}
+	putTileScratch(s)
+	return what
+}
+
 // executeHalfScalarRef runs the full FP16 plan serially with the scalar
 // codec everywhere: Ŵ-cache fill, fused units, Kahan reduction.
 func executeHalfScalarRef(cfg *Config, x, dy *tensor.Half) *tensor.Float32 {
 	ws := NewWorkspace(cfg)
-	growHalf(&ws.what16, ws.whatOff[len(ws.whatOff)-1])
-	s := getTileScratch()
-	for si, seg := range cfg.Segments {
-		what := ws.what16[ws.whatOff[si]:ws.whatOff[si+1]]
-		for oh := seg.Row0; oh < seg.Row1; oh++ {
-			fillRowHalfScalar(cfg.Params, seg, oh, dy, s, what)
-		}
-	}
-	putTileScratch(s)
-
+	cache := whatCacheScalar(cfg, dy)
 	fw := cfg.Params.FW
 	for si, seg := range cfg.Segments {
-		what := ws.what16[ws.whatOff[si]:ws.whatOff[si+1]]
+		what := cache[ws.whatOff[si]:ws.whatOff[si+1]]
 		jTiles := fw / seg.K.N
 		for fh := 0; fh < cfg.Params.FH; fh++ {
 			for jt := 0; jt < jTiles; jt++ {
@@ -190,9 +198,8 @@ func TestExecuteHalfMatchesScalarCodecRef(t *testing.T) {
 	}
 }
 
-// The strided FP16 path routes through the same fillRowHalf and
-// segmentTileHalf kernels per phase; its results must be unchanged by the
-// codec swap. The reference here is phase decomposition over the scalar
+// The strided FP16 path routes through the same FP16 fill and dense units
+// per phase; its results must be unchanged by the codec swap. The reference here is phase decomposition over the scalar
 // reference executor — mirroring BackwardFilterStridedHalf's structure.
 func TestStridedHalfMatchesScalarCodecRef(t *testing.T) {
 	cases := []conv.StridedParams{

@@ -415,22 +415,20 @@ func (c *Config) Z() int { return len(c.Segments) }
 // Ungrouped: (Z−1) × sizeof(∇W) — the final gradient itself is not
 // workspace (bucket 0 aliases it). Buckets are FP32 on both precision
 // paths: accumulators and the Kahan reduction run in FP32 (paper §5.2).
-// Grouped layers report GroupRing() × the per-group arena: the default
-// interleaved dispatch keeps a bounded ring of in-flight per-group bucket
-// sets (≤ groupRingSlots, i.e. at most 2× the sequential dispatch's single
-// shared arena, which WorkspaceSeqBytes reports) — still ~G²/ring below
-// the ungrouped layer of the same outer geometry (1/G from the sliced
-// C-reduction, 1/G from the sliced O_C), the paper's tiny-workspace regime
-// at its most favorable. Plans with I_C/G == 1 run the channel pass, which
-// combines segments in place and reports 0 (its per-worker tile is
-// ChannelTileBytes).
+// Grouped layers report GroupRing() × the per-group arena: the grouped
+// dispatch keeps a bounded ring of in-flight per-group bucket sets
+// (≤ groupRingSlots, each one slot's arena, which WorkspaceSeqBytes
+// reports) — still ~G²/ring below the ungrouped layer of the same outer
+// geometry (1/G from the sliced C-reduction, 1/G from the sliced O_C), the
+// paper's tiny-workspace regime at its most favorable. Plans with
+// I_C/G == 1 run the channel pass, which combines segments in place and
+// reports 0 (its per-worker tile is ChannelTileBytes).
 func (c *Config) WorkspaceBytes() int64 {
 	return c.WorkspaceSeqBytes() * int64(c.GroupRing())
 }
 
-// WorkspaceSeqBytes returns one per-group bucket arena, (Z−1) × the
-// per-group ∇W slab — the whole workspace of the sequential grouped
-// dispatch (and of ungrouped plans, where it equals WorkspaceBytes). 0 for
+// WorkspaceSeqBytes returns one ring slot's bucket arena, (Z−1) × the
+// per-group ∇W slab (for ungrouped plans it equals WorkspaceBytes). 0 for
 // channel-pass plans, which have no buckets.
 func (c *Config) WorkspaceSeqBytes() int64 {
 	if c.ChannelPass() {
@@ -441,15 +439,14 @@ func (c *Config) WorkspaceSeqBytes() int64 {
 }
 
 // GroupRing returns the staging-slot ring depth the plan's grouped
-// dispatch budgets: min(G, groupRingSlots) under the interleaved dispatch
-// (an upper bound — execution additionally clamps to the pool width), 1
-// for ungrouped plans or forced sequential dispatch, 0 for channel-pass
-// plans (no staging at all).
+// dispatch budgets: min(G, groupRingSlots) (an upper bound — execution
+// additionally clamps to the pool width), 1 for ungrouped plans, 0 for
+// channel-pass plans (no staging at all).
 func (c *Config) GroupRing() int {
 	if c.ChannelPass() {
 		return 0
 	}
-	if c.group == nil || !InterleavedGroups() {
+	if c.group == nil {
 		return 1
 	}
 	if g := c.Params.G(); g < groupRingSlots {
@@ -465,15 +462,14 @@ func (c *Config) GroupRing() int {
 //
 //	Σ_seg Rows(seg) · (Cols(seg)/r_seg) · N · α_seg · O_C  elements,
 //
-// at 4 bytes per element in FP32 and, for FP16, 2 on the legacy
-// codec-per-unit path or 4 in the default decoded-operand mode (the
-// binary16-rounded panels are stored as float32 so units skip the per-use
-// decode; see fillRowHalfRes). Because α/r ≤ max_s(α_s/r_s)
+// at 4 bytes per element in both precisions (FP16 stores the
+// binary16-rounded panels as float32, the form the GEMM panels read; see
+// fillRowHalfRes). Because α/r ≤ max_s(α_s/r_s)
 // and Σ_seg Rows·Cols·N·O_C = |∇Y|, the cache is bounded by
 // (max_s α_s/r_s)·sizeof(∇Y) regardless of Z — it rides the "tiny
 // workspace" axis (≈3× |∇Y| for Ω₁₆(2,14), ≈2× for Ω₆(4,3)) and is not
 // counted against WithWorkspaceLimit, which budgets the Z-dependent
-// buckets. Interleaved grouped plans hold one cache per ring slot, so the
+// buckets. Grouped plans hold one cache per ring slot, so the
 // figure is GroupRing() × the per-group cache; channel-pass plans consume
 // each Ŵ panel as they compute it and report 0.
 func (c *Config) WHatCacheBytes() int64 {
@@ -486,11 +482,7 @@ func (c *Config) WHatCacheBytes() int64 {
 		elems += int64(seg.Rows()) * int64(seg.Cols()/seg.K.R) *
 			int64(e.Params.N) * int64(seg.K.Alpha) * int64(e.Params.OC)
 	}
-	elems *= int64(c.GroupRing())
-	if c.FP16 && !fp16Resident {
-		return elems * 2
-	}
-	return elems * 4
+	return elems * int64(c.GroupRing()) * 4
 }
 
 // Option customizes Configure.

@@ -58,9 +58,10 @@ var channelPassCases = []struct {
 }
 
 // The channel pass must be bit-identical to the per-group pipeline it
-// replaces — FP32, FP16 resident and FP16 codec — inline and through a
-// width-4 pool, and within the FP64 oracle band. Under -race with a
-// width-4 pool this is also the pass's co-scheduling differential.
+// replaces (executeGroupedRef with the pass off) in FP32 and FP16, inline
+// and through a width-4 pool, and within the FP64 oracle band. Under
+// -race with a width-4 pool this is also the pass's co-scheduling
+// differential.
 func TestChannelPassMatchesPerGroup(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		withTestPool(t, width, func() {
@@ -91,11 +92,8 @@ func TestChannelPassMatchesPerGroup(t *testing.T) {
 					}
 
 					forceChannelPass(t, false)
-					ref := Execute(cfg, x, dy)
-					refH := ExecuteHalf(cfg16, xh, dyh)
-					forceResident(t, false)
-					refHC := ExecuteHalf(cfg16, xh, dyh)
-					forceResident(t, true)
+					ref := executeGroupedRef(cfg, x, dy, nil, nil)
+					refH := executeGroupedRef(cfg16, nil, nil, xh, dyh)
 
 					forceChannelPass(t, true)
 					got := Execute(cfg, x, dy)
@@ -105,10 +103,6 @@ func TestChannelPassMatchesPerGroup(t *testing.T) {
 					}
 					gotH := ExecuteHalf(cfg16, xh, dyh)
 					sameBits(t, name("fp16"), gotH.Data, refH.Data)
-					forceResident(t, false)
-					gotHC := ExecuteHalf(cfg16, xh, dyh)
-					forceResident(t, true)
-					sameBits(t, name("fp16-codec"), gotHC.Data, refHC.Data)
 				}
 			}
 		})
@@ -292,18 +286,17 @@ func TestChannelBlockRule(t *testing.T) {
 	}
 }
 
-// WHatCacheBytes of an interleaved grouped plan counts one Ŵ cache per
-// ring slot: after a width-4 execution it equals the slots' actual cache
-// arenas, in FP32 and in both FP16 operand forms.
+// WHatCacheBytes of a grouped plan counts one Ŵ cache per ring slot:
+// after a width-4 execution it equals the slots' actual cache arenas, in
+// FP32 and FP16.
 func TestWHatCacheBytesCountsRing(t *testing.T) {
-	forceGroupDispatch(t, groupDispatchInterleaved)
 	p := conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1, Groups: 4}
 	x, dy := poolLayer(t, 96, p)
 	xh, dyh := x.ToHalf(), dy.ToHalf()
 	arena := func(ws *Workspace) int64 {
 		var b int64
 		for i := range ws.ring {
-			b += int64(cap(ws.ring[i].what32))*4 + int64(cap(ws.ring[i].what16))*2
+			b += int64(cap(ws.ring[i].what32)) * 4
 		}
 		return b
 	}
@@ -325,15 +318,11 @@ func TestWHatCacheBytesCountsRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, resident := range []bool{true, false} {
-			forceResident(t, resident)
-			ws16 := NewWorkspace(cfg16)
-			ExecuteHalfIn(cfg16, ws16, xh, dyh, nil)
-			if got, want := cfg16.WHatCacheBytes(), arena(ws16); got != want {
-				t.Errorf("fp16 resident=%v: WHatCacheBytes %d, ring arenas %d", resident, got, want)
-			}
+		ws16 := NewWorkspace(cfg16)
+		ExecuteHalfIn(cfg16, ws16, xh, dyh, nil)
+		if got, want := cfg16.WHatCacheBytes(), arena(ws16); got != want {
+			t.Errorf("fp16: WHatCacheBytes %d, ring arenas %d", got, want)
 		}
-		forceResident(t, true)
 	})
 }
 

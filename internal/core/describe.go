@@ -29,11 +29,10 @@ type Description struct {
 	Segments        int     `json:"segments"`
 	WorkspaceBytes  int64   `json:"workspaceBytes"`
 	WorkspaceRatio  float64 `json:"workspaceRatio"`
-	// Grouped-dispatch attribution (grouped plans only): the dispatch mode
-	// under the current process knobs ("channel" for I_C/G == 1 plans), the
-	// budgeted staging-slot ring depth, and the single per-group arena of
-	// the sequential dispatch — WorkspaceBytes is WorkspaceSeqBytes ×
-	// GroupRing.
+	// Grouped-dispatch attribution (grouped plans only): the dispatch
+	// ("channel" for I_C/G == 1 plans, else "interleaved"), the budgeted
+	// staging-slot ring depth, and one ring slot's bucket arena —
+	// WorkspaceBytes is WorkspaceSeqBytes × GroupRing.
 	GroupDispatch     string `json:"groupDispatch,omitempty"`
 	GroupRing         int    `json:"groupRing,omitempty"`
 	WorkspaceSeqBytes int64  `json:"workspaceSeqBytes,omitempty"`
@@ -63,13 +62,9 @@ func (c *Config) Describe() Description {
 	d.Layer.OH, d.Layer.OW = p.OH(), p.OW()
 	if p.G() > 1 {
 		d.Layer.Groups = p.G()
-		switch {
-		case c.ChannelPass():
+		d.GroupDispatch = "interleaved"
+		if c.ChannelPass() {
 			d.GroupDispatch = "channel"
-		case InterleavedGroups():
-			d.GroupDispatch = "interleaved"
-		default:
-			d.GroupDispatch = "sequential"
 		}
 		d.GroupRing = c.GroupRing()
 		d.WorkspaceSeqBytes = c.WorkspaceSeqBytes()

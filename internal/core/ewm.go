@@ -4,7 +4,7 @@ package core
 // updates: v[e] += Ŵ[e] ⊗ X̂[e] for e in [0, α), with v laid out
 // [α][OC][IC], wHat [α][OC] and xHat [α][IC]. The dense units run the
 // packed GEMM kernel instead (dense.go); this base panel serves the
-// quantized, 3-D and legacy FP16 codec paths.
+// quantized and 3-D paths.
 //
 // Each v element receives exactly one add per e, in the same (e, a, b)
 // order as a naive triple loop, so register blocking leaves the

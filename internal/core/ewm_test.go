@@ -1,13 +1,16 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
 
 	"winrs/internal/conv"
+	"winrs/internal/fp16"
 	"winrs/internal/tensor"
 )
 
@@ -15,15 +18,6 @@ import (
 // must be bit-identical to the retired rank-1 panel tier (FP32) and to the
 // serial scalar-codec reference (FP16), inline and through a width-4 pool,
 // and every retired WINRS_EWM_KERNEL value must be a warn-once no-op.
-
-// forceResident overrides the FP16 decoded-operand knob
-// (WINRS_FP16_RESIDENT) for the duration of the test.
-func forceResident(t testing.TB, on bool) {
-	t.Helper()
-	prev := fp16Resident
-	fp16Resident = on
-	t.Cleanup(func() { fp16Resident = prev })
-}
 
 // ewmVariantModes lists the values WINRS_EWM_KERNEL accepted before the
 // knob was retired. Each must now warn once and change no bits.
@@ -36,7 +30,13 @@ func forceEWMEnv(t *testing.T, env string) {
 	t.Helper()
 	warns := captureEnvWarn(t)
 	t.Setenv("WINRS_EWM_KERNEL", env)
-	if !warnRetiredEWMKnob(env) || len(*warns) != 1 ||
+	getenv := func(name string) string {
+		if name == "WINRS_EWM_KERNEL" {
+			return os.Getenv(name)
+		}
+		return ""
+	}
+	if warnRetiredKnobs(getenv) != 1 || len(*warns) != 1 ||
 		!strings.Contains((*warns)[0], "WINRS_EWM_KERNEL") ||
 		!strings.Contains((*warns)[0], `"`+env+`"`) ||
 		!strings.Contains((*warns)[0], gemmKernelName) {
@@ -226,12 +226,13 @@ func TestEWMForcedVariantsMatchBaseFP32(t *testing.T) {
 	}
 }
 
-// The FP16 matrix: every retired WINRS_EWM_KERNEL value × resident/codec
-// operand mode must match the serial scalar-codec reference executor (a
-// rank-1 pipeline) bit for bit.
-// This is the oracle pinning of the decoded-operand residency claim: the
-// float32-resident Ŵ cache and bulk-decoded operands hold exactly the
-// values the per-unit scalar codec round trips produce.
+// The FP16 matrix, under every retired WINRS_EWM_KERNEL value: the
+// "resident" leg pins the gradient against the serial scalar-codec
+// reference executor (a rank-1 pipeline) bit for bit; the "codec" leg pins
+// the decoded operands themselves — after an execution the workspace's
+// float32 X and ∇Y mirrors and its Ŵ cache hold exactly the values the
+// per-element scalar codec produces (decode of X and ∇Y, encode→decode of
+// the transformed ∇Y panels).
 func TestEWMForcedVariantsMatchScalarRefFP16(t *testing.T) {
 	for _, tc := range ewmSweepCases {
 		opts := []Option{WithFP16()}
@@ -244,30 +245,51 @@ func TestEWMForcedVariantsMatchScalarRefFP16(t *testing.T) {
 		}
 		xh, dyh := halfLayer(t, 44, tc.p)
 		want := executeHalfScalarRef(cfg, xh, dyh)
+		wantWHat := whatCacheScalar(cfg, dyh)
 
 		for _, vm := range ewmVariantModes {
-			for _, res := range []struct {
-				name string
-				on   bool
-			}{{"resident", true}, {"codec", false}} {
-				t.Run(tc.name+"/"+vm+"/"+res.name, func(t *testing.T) {
-					forceEWMEnv(t, vm)
-					forceResident(t, res.on)
+			t.Run(tc.name+"/"+vm+"/resident", func(t *testing.T) {
+				forceEWMEnv(t, vm)
+				got := ExecuteHalf(cfg, xh, dyh)
+				equalBits(t, "inline", got.Data, want.Data)
+				withTestPool(t, 4, func() {
 					got := ExecuteHalf(cfg, xh, dyh)
-					equalBits(t, "inline", got.Data, want.Data)
-					withTestPool(t, 4, func() {
-						got := ExecuteHalf(cfg, xh, dyh)
-						equalBits(t, "pool4", got.Data, want.Data)
-					})
+					equalBits(t, "pool4", got.Data, want.Data)
 				})
-			}
+			})
+			t.Run(tc.name+"/"+vm+"/codec", func(t *testing.T) {
+				forceEWMEnv(t, vm)
+				for _, width := range []int{1, 4} {
+					withTestPool(t, width, func() {
+						ws := NewWorkspace(cfg)
+						ExecuteHalfIn(cfg, ws, xh, dyh, nil)
+						decodedMatchesScalar(t, "X", ws.xDec, xh.Data)
+						decodedMatchesScalar(t, "∇Y", ws.dyDec, dyh.Data)
+						decodedMatchesScalar(t, "Ŵ cache", ws.what32, wantWHat)
+					})
+				}
+			})
 		}
 	}
 }
 
-// Steady-state pooled ExecuteHalfIn must allocate nothing in the default
-// decoded-operand mode: the resident Ŵ cache, the xDec/dyDec mirrors and
-// the GEMM panels all live in reused arenas or on the stack.
+// decodedMatchesScalar checks that got holds fp16.ToFloat32 of every
+// element of bits, comparing IEEE bit patterns.
+func decodedMatchesScalar(t *testing.T, name string, got []float32, bits []fp16.Bits) {
+	t.Helper()
+	if len(got) != len(bits) {
+		t.Fatalf("%s: %d decoded values, want %d", name, len(got), len(bits))
+	}
+	for i, b := range bits {
+		if math.Float32bits(got[i]) != math.Float32bits(fp16.ToFloat32(b)) {
+			t.Fatalf("%s[%d] = %v, scalar codec %v", name, i, got[i], fp16.ToFloat32(b))
+		}
+	}
+}
+
+// Steady-state pooled ExecuteHalfIn must allocate nothing: the float32 Ŵ
+// cache, the xDec/dyDec mirrors and the GEMM panels all live in reused
+// arenas or on the stack.
 func TestExecuteHalfAllocsZeroWithPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pinning runs without -race")
@@ -294,8 +316,8 @@ func TestExecuteHalfAllocsZeroWithPool(t *testing.T) {
 }
 
 // EWMKernel and Describe must name the kernel the units run — the GEMM
-// kernel in both precisions whatever WINRS_EWM_KERNEL says, the base panel
-// on the codec path — and report the unit scratch outside the workspace.
+// kernel in both precisions whatever WINRS_EWM_KERNEL says — and report
+// the unit scratch outside the workspace.
 func TestEWMKernelReporting(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 24, FH: 3, FW: 3, IC: 16, OC: 16, PH: 1, PW: 1}
 	cfg, err := Configure(p)
@@ -306,7 +328,6 @@ func TestEWMKernelReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceResident(t, true)
 	want := "gemm4x8"
 	if runtime.GOARCH == "amd64" {
 		want = "gemm4x8+sse2"
@@ -319,11 +340,6 @@ func TestEWMKernelReporting(t *testing.T) {
 		if got := cfg16.EWMKernel(); got != want {
 			t.Errorf("fp16 with WINRS_EWM_KERNEL=%s: %q, want %q", env, got, want)
 		}
-	}
-
-	forceResident(t, false)
-	if got, want := cfg16.EWMKernel(), "block4x4+codec"; got != want {
-		t.Errorf("fp16 codec fallback: %q, want %q", got, want)
 	}
 
 	d := cfg.Describe()

@@ -98,9 +98,7 @@ type execJob struct {
 	cfg       *Config
 	ws        *Workspace
 	x32, dy32 *tensor.Float32
-	x16, dy16 *tensor.Half
-	half      bool
-	resident  bool // FP16 decoded-operand mode (see fp16Resident)
+	x16       *tensor.Half // FP16 plans: the shape; units read ws.xDec
 	traceOn   bool
 }
 
@@ -118,15 +116,10 @@ func (j *execJob) Run(lo, hi int) {
 		jTiles := fw / seg.K.N
 		local := i - off[si]
 		fh, jt := local/jTiles, local%jTiles
-		switch {
-		case j.half && j.resident:
-			what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+		what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+		if j.x16 != nil {
 			denseTileUnit(cfg.Params, seg, fh, jt, j.x16.Shape, ws.xDec, what, ws.buckets[si], true, j.traceOn)
-		case j.half:
-			what := ws.what16[ws.whatOff[si]:ws.whatOff[si+1]]
-			tileHalfUnit(cfg.Params, seg, fh, jt, j.x16, what, ws.buckets[si], j.traceOn)
-		default:
-			what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+		} else {
 			denseTileUnit(cfg.Params, seg, fh, jt, j.x32.Shape, j.x32.Data, what, ws.buckets[si], false, j.traceOn)
 		}
 	}
@@ -137,12 +130,10 @@ func (j *execJob) Run(lo, hi int) {
 // every (width-tile, batch) ∇Y unit of that row into the cache. Like
 // execJob it is embedded in the Workspace and reused across calls.
 type fillJob struct {
-	cfg      *Config
-	ws       *Workspace
-	dy32     *tensor.Float32
-	dy16     *tensor.Half
-	half     bool
-	resident bool
+	cfg  *Config
+	ws   *Workspace
+	dy32 *tensor.Float32
+	dy16 *tensor.Half // FP16 plans: the shape; rows read ws.dyDec
 }
 
 // Run fills global segment rows [lo, hi).
@@ -159,16 +150,11 @@ func (f *fillJob) Run(lo, hi int) {
 		}
 		seg := cfg.Segments[si]
 		oh := seg.Row0 + (i - ws.rowOff[si])
-		switch {
-		case f.half && f.resident:
-			fillRowHalfRes(p, seg, oh, f.dy16, ws.dyDec, s,
-				ws.what32[ws.whatOff[si]:ws.whatOff[si+1]])
-		case f.half:
-			fillRowHalf(p, seg, oh, f.dy16, s,
-				ws.what16[ws.whatOff[si]:ws.whatOff[si+1]])
-		default:
-			fillRow32(p, seg, oh, f.dy32,
-				ws.what32[ws.whatOff[si]:ws.whatOff[si+1]])
+		what := ws.what32[ws.whatOff[si]:ws.whatOff[si+1]]
+		if f.dy16 != nil {
+			fillRowHalfRes(p, seg, oh, f.dy16, ws.dyDec, s, what)
+		} else {
+			fillRow32(p, seg, oh, f.dy32, what)
 		}
 	}
 }
@@ -214,42 +200,13 @@ func halfMats(tr *winograd.Transform) (g, d, a *winograd.Mat) {
 	return g, d, a
 }
 
-// fillRowHalf is fillRow32 for the FP16 path: mixed-precision filter
-// transform (FP32 arithmetic, binary16 storage) into the half-width cache.
-// The gathered ∇Y rows bulk-decode through the binary16 LUT into the
-// workspace scratch and the transformed panel bulk-encodes into the cache
-// — both kernels are bit-identical to the scalar codec, so the cache
-// contents are unchanged.
-func fillRowHalf(p conv.Params, seg Segment, oh int, dy *tensor.Half,
-	s *tileScratch, what []fp16.Bits) {
-	tr := seg.K.Transform()
-	gMat, _, _ := halfMats(tr)
-	r, alpha, oc := tr.R, tr.Alpha, p.OC
-	wRaw := growF32(&s.wRaw, r*oc)
-	wHatF := growF32(&s.wHatF, alpha*oc)
-	entry := alpha * oc
-	tiles := seg.Cols() / r
-	rowBase := (oh - seg.Row0) * tiles
-
-	for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
-		for nb := 0; nb < p.N; nb++ {
-			for u := 0; u < r; u++ {
-				base := dy.Shape.Index(nb, oh, ow0+u, 0)
-				fp16.DecodeSlice(wRaw[u*oc:(u+1)*oc], dy.Data[base:base+oc])
-			}
-			matMulF32(gMat, wRaw, wHatF, r, oc)
-			dst := what[((rowBase+t)*p.N+nb)*entry:]
-			fp16.EncodeSlice(dst[:entry], wHatF)
-		}
-	}
-}
-
-// fillRowHalfRes is the decoded-operand variant of fillRowHalf: the ∇Y
-// unit reads straight from the bulk-decoded dyDec mirror (one contiguous
-// [r][O_C] block, like fillRow32), and the transformed panel is rounded
-// through binary16 while being stored in float32 form (fp16.RoundInto).
-// Cache values are bit-identical to decode(encode(panel)), so every
-// execution-side use skips the per-unit decode without changing a bit.
+// fillRowHalfRes is fillRow32 for the FP16 path: mixed-precision filter
+// transform (FP32 arithmetic, binary16 storage). The ∇Y unit reads
+// straight from the bulk-decoded dyDec mirror (one contiguous [r][O_C]
+// block, like fillRow32), and the transformed panel is rounded through
+// binary16 while being stored in float32 form (fp16.RoundInto). Cache
+// values are bit-identical to decode(encode(panel)), so units read them
+// without a per-use decode.
 func fillRowHalfRes(p conv.Params, seg Segment, oh int, dy *tensor.Half,
 	dyDec []float32, s *tileScratch, what []float32) {
 	tr := seg.K.Transform()
@@ -290,19 +247,6 @@ func denseTileUnit(p conv.Params, seg Segment, fh, j int, xs tensor.Shape, x []f
 	var ut obs.UnitTimes
 	t0 := time.Now()
 	denseUnit(p, seg, fh, j, xs, x, what, bucket, half, &ut)
-	obs.RecordUnit(time.Since(t0), ut)
-}
-
-// tileHalfUnit is denseTileUnit for the legacy (codec-per-unit) FP16 path.
-func tileHalfUnit(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
-	what []fp16.Bits, bucket []float32, traceOn bool) {
-	if !traceOn {
-		segmentTileHalf(p, seg, fh, j, x, what, bucket, nil)
-		return
-	}
-	var ut obs.UnitTimes
-	t0 := time.Now()
-	segmentTileHalf(p, seg, fh, j, x, what, bucket, &ut)
 	obs.RecordUnit(time.Since(t0), ut)
 }
 
@@ -353,71 +297,6 @@ func (u *unitSampler) flush(ut *obs.UnitTimes) {
 	rem := int64(u.iters) % int64(u.samples)
 	ut.Transform += time.Duration(int64(u.transform)*scale + int64(u.transform)*rem/int64(u.samples))
 	ut.EWM += time.Duration(int64(u.ewm)*scale + int64(u.ewm)*rem/int64(u.samples))
-}
-
-// segmentTileHalf is the legacy codec-per-unit FP16 unit (see ExecuteHalf
-// and fp16Resident), run as per-tile rank-1 updates with the base panel:
-// the cached Ŵ panels are binary16 and decoded to FP32 per use (binary16
-// → FP32 is exact, so products match the pre-restructuring path bit for
-// bit), X̂ is transformed in FP32, rounded to binary16 and decoded back —
-// the "SMEM storage" rounding — and the EWM accumulates in FP32.
-func segmentTileHalf(p conv.Params, seg Segment, fh, j int, x *tensor.Half,
-	what []fp16.Bits, bucket []float32, ut *obs.UnitTimes) {
-	k := seg.K
-	tr := k.Transform()
-	_, dMat, aMat := halfMats(tr)
-	n, r, alpha := tr.N, tr.R, tr.Alpha
-	oc, ic := p.OC, p.IC
-
-	s := getTileScratch()
-	defer putTileScratch(s)
-	v := growF32Zero(&s.v, alpha*oc*ic)
-	wDec := growF32(&s.wHatF, alpha*oc) // decoded cached Ŵ panel
-	xRaw := growF32(&s.xRaw, alpha*ic)
-	xHat := growF32(&s.xHatF, alpha*ic)
-	colBase := j * n
-	entry := alpha * oc
-	tiles := seg.Cols() / r
-
-	var smp unitSampler
-	for oh := seg.Row0; oh < seg.Row1; oh++ {
-		ih := oh + fh - p.PH
-		if ih < 0 || ih >= p.IH {
-			continue
-		}
-		rowBase := (oh - seg.Row0) * tiles
-		for t, ow0 := 0, seg.Col0; ow0 < seg.Col1; t, ow0 = t+1, ow0+r {
-			for nb := 0; nb < p.N; nb++ {
-				smp.begin(ut)
-				hw := what[((rowBase+t)*p.N+nb)*entry:]
-				hw = hw[:entry]
-				fp16.DecodeSlice(wDec, hw)
-				for u := 0; u < alpha; u++ {
-					iw := ow0 + colBase + u - p.PW
-					dst := xRaw[u*ic : (u+1)*ic]
-					if iw < 0 || iw >= p.IW {
-						for i := range dst {
-							dst[i] = 0
-						}
-						continue
-					}
-					base := x.Shape.Index(nb, ih, iw, 0)
-					fp16.DecodeSlice(dst, x.Data[base:base+ic])
-				}
-				matTMulF32(dMat, xRaw, xHat, alpha, ic)
-				// Round to binary16 storage and decode in place: the
-				// decoded values are exactly the binary16 operands, so the
-				// FP32-accumulated EWM below is the Tensor-Core contract
-				// without a per-product conversion.
-				fp16.RoundSlice(xHat)
-				smp.mark()
-				ewmPanels(v, wDec, xHat, alpha, oc, ic)
-				smp.end()
-			}
-		}
-	}
-	smp.flush(ut)
-	writeOutput(p, aMat, v, bucket, fh, colBase, n, alpha, oc, ic, growF32(&s.acc, alpha))
 }
 
 // writeOutput applies the FP32 output transform Aᵀ to the accumulators and

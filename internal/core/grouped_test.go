@@ -26,6 +26,38 @@ var groupedSweepCases = []struct {
 	{"2x2_G2_nopad", conv.Params{N: 1, IH: 11, IW: 15, FH: 2, FW: 2, IC: 4, OC: 4, Groups: 2}, []int{0, 1}},
 }
 
+// executeGroupedRef is the grouped dispatch's oracle: G sequential
+// per-group passes, each slicing the group's channels out of the operands
+// and running the per-group plan (Execute or ExecuteHalf on cfg.group)
+// into the group's ∇W slab. Exactly one operand pair is non-nil: (x, dy)
+// for FP32, (xh, dyh) for FP16. An ungrouped plan is one full-width pass.
+func executeGroupedRef(cfg *Config, x, dy *tensor.Float32, xh, dyh *tensor.Half) *tensor.Float32 {
+	p := cfg.Params
+	gcfg := cfg.group
+	if gcfg == nil {
+		gcfg = cfg
+	}
+	pg := gcfg.Params
+	g, icg, ocg := p.G(), p.ICG(), p.OCG()
+	xRows, dyRows := p.N*p.IH*p.IW, p.N*p.OH()*p.OW()
+	dst := tensor.NewFloat32(p.DWShape())
+	for gi := 0; gi < g; gi++ {
+		slab := groupSlab(dst, pg.DWShape(), gi)
+		if xh != nil {
+			xg, dyg := tensor.NewHalf(pg.XShape()), tensor.NewHalf(pg.DYShape())
+			sliceChannels(xg.Data, xh.Data, xRows, p.IC, gi*icg, icg)
+			sliceChannels(dyg.Data, dyh.Data, dyRows, p.OC, gi*ocg, ocg)
+			ExecuteHalfIn(gcfg, nil, xg, dyg, slab)
+		} else {
+			xg, dyg := tensor.NewFloat32(pg.XShape()), tensor.NewFloat32(pg.DYShape())
+			sliceChannels(xg.Data, x.Data, xRows, p.IC, gi*icg, icg)
+			sliceChannels(dyg.Data, dy.Data, dyRows, p.OC, gi*ocg, ocg)
+			ExecuteIn(gcfg, nil, xg, dyg, slab)
+		}
+	}
+	return dst
+}
+
 func groupedLayer64(t testing.TB, seed int64, p conv.Params) (*tensor.Float64, *tensor.Float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime/debug"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,15 +12,6 @@ import (
 	"winrs/internal/fp16"
 	"winrs/internal/tensor"
 )
-
-// forceGroupDispatch overrides the grouped-dispatch forcing mode for the
-// test's duration — the test-process form of WINRS_GROUP_DISPATCH.
-func forceGroupDispatch(t testing.TB, mode groupDispatchMode) {
-	t.Helper()
-	prev := groupDispatchForce
-	groupDispatchForce = mode
-	t.Cleanup(func() { groupDispatchForce = prev })
-}
 
 // forceGroupWidth pins the interleave's effective co-scheduling width so
 // the pooled pipeline (phase gates, ring hand-off, unit claims) runs even
@@ -34,11 +24,11 @@ func forceGroupWidth(t testing.TB, width int) {
 	t.Cleanup(func() { groupWidthForce = prev })
 }
 
-// The interleaved dispatch must be bit-identical to the sequential
-// per-group passes on every grouped sweep shape, FP32 and FP16 (both
-// operand forms), across forced segmentations, inline and through a
-// width-4 pool — and both must stay within the oracle band. Run under
-// -race this is the interleaved co-scheduling differential.
+// The interleaved dispatch must be bit-identical to sequential per-group
+// passes (executeGroupedRef) on every grouped sweep shape, FP32 and FP16,
+// across forced segmentations, inline and through a width-4 pool — and
+// must stay within the oracle band. Run under -race this is the
+// interleaved co-scheduling differential.
 func TestGroupedInterleavedMatchesSequential(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		withTestPool(t, width, func() {
@@ -62,14 +52,9 @@ func TestGroupedInterleavedMatchesSequential(t *testing.T) {
 						t.Fatalf("%s z=%d fp16: %v", tc.name, z, err)
 					}
 
-					forceGroupDispatch(t, groupDispatchSeq)
-					seq := Execute(cfg, x, dy)
-					seqH := ExecuteHalfIn(cfg16, nil, xh, dyh, nil)
-					forceResident(t, false)
-					seqHC := ExecuteHalfIn(cfg16, nil, xh, dyh, nil)
-					forceResident(t, true)
+					seq := executeGroupedRef(cfg, x, dy, nil, nil)
+					seqH := executeGroupedRef(cfg16, nil, nil, xh, dyh)
 
-					forceGroupDispatch(t, groupDispatchInterleaved)
 					il := Execute(cfg, x, dy)
 					equalBits(t, tc.name+"-fp32", il.Data, seq.Data)
 					if m := tensor.MARE(il, want); m > 1e-5 {
@@ -77,10 +62,6 @@ func TestGroupedInterleavedMatchesSequential(t *testing.T) {
 					}
 					ilH := ExecuteHalfIn(cfg16, nil, xh, dyh, nil)
 					equalBits(t, tc.name+"-fp16", ilH.Data, seqH.Data)
-					forceResident(t, false)
-					ilHC := ExecuteHalfIn(cfg16, nil, xh, dyh, nil)
-					forceResident(t, true)
-					equalBits(t, tc.name+"-fp16-codec", ilHC.Data, seqHC.Data)
 				}
 			}
 		})
@@ -131,7 +112,6 @@ func TestDepthwiseEWMKernelSweep(t *testing.T) {
 // a fully executed group, so every slab is either untouched (the sentinel
 // prefill survives) or bit-identical to the uncancelled result.
 func TestGroupedInterleavedCancelNoPartialGroups(t *testing.T) {
-	forceGroupDispatch(t, groupDispatchInterleaved)
 	p := conv.Params{N: 2, IH: 20, IW: 20, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8}
 	cfg, err := Configure(p, WithSegments(3))
 	if err != nil {
@@ -192,7 +172,6 @@ func TestGroupedInterleavedAllocsZeroWithPool(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc pinning runs without -race")
 	}
-	forceGroupDispatch(t, groupDispatchInterleaved)
 	p := conv.Params{N: 1, IH: 24, IW: 24, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 8}
 	cfg, err := Configure(p, WithSegments(2))
 	if err != nil {
@@ -302,43 +281,17 @@ func TestSliceDecodeChannelsMatchesUnfused(t *testing.T) {
 	}
 }
 
-// An unrecognized WINRS_GROUP_DISPATCH must fall back to auto loudly,
-// naming the knob, the bad value and the valid set.
-func TestParseGroupDispatchWarnsOnUnknown(t *testing.T) {
-	warns := captureEnvWarn(t)
-	for val, want := range map[string]groupDispatchMode{
-		"": groupDispatchAuto, "auto": groupDispatchAuto,
-		"seq": groupDispatchSeq, "sequential": groupDispatchSeq,
-		"interleaved": groupDispatchInterleaved,
-	} {
-		if got := parseGroupDispatch(val); got != want {
-			t.Errorf("parseGroupDispatch(%q) = %v, want %v", val, got, want)
-		}
-	}
-	if len(*warns) != 0 {
-		t.Fatalf("valid values warned: %v", *warns)
-	}
-	if got := parseGroupDispatch("interleave"); got != groupDispatchAuto {
-		t.Errorf("unknown value mapped to %v, want auto", got)
-	}
-	if len(*warns) != 1 ||
-		!strings.Contains((*warns)[0], `"interleave"`) ||
-		!strings.Contains((*warns)[0], "WINRS_GROUP_DISPATCH") ||
-		!strings.Contains((*warns)[0], "seq") {
-		t.Fatalf("warning should name the knob, the bad value and the valid set; got %v", *warns)
-	}
-}
-
-// Describe must attribute the dispatch mode, the realized ring budget and
-// the sequential per-group arena on grouped plans — and stay silent on
-// ungrouped ones.
+// Describe must attribute the dispatch, the realized ring budget and one
+// ring slot's arena on grouped plans — and stay silent on ungrouped ones.
+// The described plan must run what Describe names: a pooled execution
+// grows GroupRing slots, each holding Z per-group buckets, and matches
+// the sequential oracle bit for bit.
 func TestDescribeGroupDispatch(t *testing.T) {
 	p := conv.Params{N: 1, IH: 16, IW: 16, FH: 3, FW: 3, IC: 8, OC: 8, PH: 1, PW: 1, Groups: 4}
 	cfg, err := Configure(p, WithSegments(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceGroupDispatch(t, groupDispatchInterleaved)
 	d := cfg.Describe()
 	if d.GroupDispatch != "interleaved" {
 		t.Errorf("GroupDispatch = %q, want interleaved", d.GroupDispatch)
@@ -350,14 +303,22 @@ func TestDescribeGroupDispatch(t *testing.T) {
 		t.Errorf("workspace accounting: total %d, seq %d, ring %d",
 			d.WorkspaceBytes, d.WorkspaceSeqBytes, d.GroupRing)
 	}
-	forceGroupDispatch(t, groupDispatchSeq)
-	d = cfg.Describe()
-	if d.GroupDispatch != "sequential" || d.GroupRing != 1 {
-		t.Errorf("sequential forcing: dispatch %q ring %d", d.GroupDispatch, d.GroupRing)
-	}
-	if d.WorkspaceBytes != d.WorkspaceSeqBytes {
-		t.Errorf("sequential workspace %d != per-group arena %d", d.WorkspaceBytes, d.WorkspaceSeqBytes)
-	}
+	x, dy := poolLayer(t, 77, p)
+	withTestPool(t, 4, func() {
+		forceGroupWidth(t, 4)
+		ws := NewWorkspace(cfg)
+		got := ExecuteIn(cfg, ws, x, dy, nil)
+		equalBits(t, "described-dispatch", got.Data, executeGroupedRef(cfg, x, dy, nil, nil).Data)
+		if len(ws.ring) != d.GroupRing {
+			t.Errorf("execution grew %d ring slots, Describe says %d", len(ws.ring), d.GroupRing)
+		}
+		slab := int64(cfg.GroupConfig().Params.DWShape().Elems()) * 4
+		for i := range ws.ring {
+			if b := int64(len(ws.ring[i].buckets)) * slab; b != d.WorkspaceSeqBytes+slab {
+				t.Errorf("slot %d holds %d B of buckets, want WorkspaceSeqBytes %d + one ∇W slab %d", i, b, d.WorkspaceSeqBytes, slab)
+			}
+		}
+	})
 
 	pu := p
 	pu.Groups = 0
@@ -371,9 +332,10 @@ func TestDescribeGroupDispatch(t *testing.T) {
 }
 
 // BenchmarkGroupedDispatch pits the channel pass against the per-group
-// pipeline it replaced — sequential and interleaved dispatch — on a
-// production depthwise shape. Run with -cpu 1,4 to see the pool-width
-// dependence.
+// pipeline it replaced — the interleaved dispatch and the sequential
+// oracle (executeGroupedRef, which also allocates its per-group operands
+// and workspaces) — on a production depthwise shape. Run with -cpu 1,4 to
+// see the pool-width dependence.
 func BenchmarkGroupedDispatch(b *testing.B) {
 	p := conv.Params{N: 1, IH: 56, IW: 56, FH: 3, FW: 3, IC: 64, OC: 64, PH: 1, PW: 1, Groups: 64}
 	cfg, err := Configure(p)
@@ -392,28 +354,21 @@ func BenchmarkGroupedDispatch(b *testing.B) {
 	for _, m := range []struct {
 		name    string
 		channel bool
-		mode    groupDispatchMode
+		run     func()
 	}{
-		{"channel", true, groupDispatchAuto},
-		{"seq", false, groupDispatchSeq},
-		{"interleaved", false, groupDispatchInterleaved},
+		{"channel", true, func() { ExecuteIn(cfg, ws, x, dy, dst) }},
+		{"channel16", true, func() { ExecuteHalfIn(cfg16, ws16, xh, dyh, dst) }},
+		{"seq", false, func() { executeGroupedRef(cfg, x, dy, nil, nil) }},
+		{"seq16", false, func() { executeGroupedRef(cfg16, nil, nil, xh, dyh) }},
+		{"interleaved", false, func() { ExecuteIn(cfg, ws, x, dy, dst) }},
+		{"interleaved16", false, func() { ExecuteHalfIn(cfg16, ws16, xh, dyh, dst) }},
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			forceChannelPass(b, m.channel)
-			forceGroupDispatch(b, m.mode)
-			ExecuteIn(cfg, ws, x, dy, dst)
+			m.run()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ExecuteIn(cfg, ws, x, dy, dst)
-			}
-		})
-		b.Run(m.name+"16", func(b *testing.B) {
-			forceChannelPass(b, m.channel)
-			forceGroupDispatch(b, m.mode)
-			ExecuteHalfIn(cfg16, ws16, xh, dyh, dst)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ExecuteHalfIn(cfg16, ws16, xh, dyh, dst)
+				m.run()
 			}
 		})
 	}

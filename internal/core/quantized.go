@@ -70,8 +70,7 @@ func QuantInt8(absmax float32) Quantizer {
 // x and dy are float32 tensors whose values are quantized on load (a
 // pre-quantized tensor passes through unchanged because Round is
 // idempotent). The result is FP32, like the FP16 path. Grouped plans run
-// the per-group plan over channel-sliced operands, one group at a time,
-// like the sequential grouped dispatch.
+// the per-group plan over channel-sliced operands, one group at a time.
 func ExecuteQuantized(cfg *Config, x, dy *tensor.Float32, q Quantizer) *tensor.Float32 {
 	p := cfg.Params
 	if x.Shape != p.XShape() || dy.Shape != p.DYShape() {
@@ -119,8 +118,8 @@ func BackwardFilterQuantized(p conv.Params, x, dy *tensor.Float32, q Quantizer, 
 	return ExecuteQuantized(cfg, x, dy, q), nil
 }
 
-// segmentTileQuantized mirrors segmentTileHalf for an arbitrary storage
-// format: gather → quantize → FP32 transform → quantize ("SMEM storage in
+// segmentTileQuantized is the per-tile rank-1 unit for an arbitrary
+// storage format: gather → quantize → FP32 transform → quantize ("SMEM storage in
 // the format") → FP32-accumulated EWM → FP32 output transform.
 func segmentTileQuantized(p conv.Params, seg Segment, fh, j int,
 	x, dy *tensor.Float32, bucket []float32, q Quantizer) {

@@ -35,11 +35,9 @@ const (
 	// exclusive spans of the unit.
 	StageOutput
 	// StageGroupGather is one grouped-execution channel gather: slicing a
-	// group's I_C/G input or O_C/G ∇Y channels into its staging slab. Under
-	// the interleaved group dispatch each gather is a pool unit recorded
-	// individually, so the overlap with the previous group's compute is
-	// visible in the stage histogram; the sequential dispatch gathers
-	// inline and records per group.
+	// group's I_C/G input or O_C/G ∇Y channels into its staging slab. Each
+	// gather is a pool unit recorded individually, so the overlap with the
+	// previous group's compute is visible in the stage histogram.
 	StageGroupGather
 	// NumStages bounds the enum.
 	NumStages

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"winrs"
@@ -241,6 +243,45 @@ func TestServeBadRequests(t *testing.T) {
 	body, _ = serve.EncodeRequest(serve.RequestHeader{Params: p, DType: "f64"}, okA, okB)
 	if code := post("/v1/backward_filter", body); code != http.StatusBadRequest {
 		t.Errorf("unknown dtype: status %d", code)
+	}
+}
+
+// A header whose X and ∇Y element counts wrap to 0 (2^64 each) must not
+// pass as a valid geometry with an empty payload: it gets 400 before any
+// plan is built or compute is reached.
+func TestServeRejectsWrappedShapes(t *testing.T) {
+	s, ts := newTestServer(t)
+	var computed atomic.Int32
+	s.Runtime().SetFaultHook(func(context.Context, serve.PlanKey) error {
+		computed.Add(1)
+		return nil
+	})
+	const d = 1 << 16
+	p := winrs.Params{N: d, IH: d, IW: d, FH: 1, FW: 1, IC: d, OC: d}
+	body, err := serve.EncodeRequest(serve.RequestHeader{Params: p}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/backward_filter", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", resp.StatusCode, msg)
+	}
+	if !strings.Contains(string(msg), "overflow") {
+		t.Errorf("rejection should name the overflow; got %q", msg)
+	}
+	if n := computed.Load(); n != 0 {
+		t.Errorf("compute reached %d times", n)
+	}
+	if _, misses := s.Runtime().Cache().Stats(); misses != 0 || s.Runtime().Cache().Len() != 0 {
+		t.Errorf("a plan was built for the rejected geometry (%d misses)", misses)
+	}
+	if n := s.Stats().ClientErr.Load(); n != 1 {
+		t.Errorf("client errors %d, want 1", n)
 	}
 }
 
